@@ -256,16 +256,6 @@ class BornReport:
     passed: bool
     nonconverged: int
 
-    def to_json_obj(self) -> dict:
-        return {
-            "frequencies": self.frequencies,
-            "targets": self.targets,
-            "chi2": self.chi2,
-            "p_value": self.p_value,
-            "pass": self.passed,
-            "nonconverged": self.nonconverged,
-        }
-
 
 THREE_SIGMA_P = 2 * stats.norm.sf(3.0)
 

@@ -23,7 +23,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .report import RelationReport
+from .report import RelationReport, relation_report
 from .scalar import ONE, ZERO, Scalar, rational_sqrt
 from .weyl import DiffOp
 
@@ -137,37 +137,42 @@ class KetSum:
         return f"sqrt({self.norm2}) * [{body}]"
 
 
-def _permutations_with_sign(items: Sequence[int]):
-    base = list(items)
-    for perm in itertools.permutations(base):
-        inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
-                         if base.index(perm[i]) > base.index(perm[j]))
-        yield dict(zip(base, perm)), -1 if inversions % 2 else 1
+def _is_odd(perm: Sequence[int]) -> bool:
+    """Cycle parity: a permutation of k items with c cycles has sign (-1)^(k-c)."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return (len(perm) - cycles) % 2 == 1
+
+
+def _permutation_sum(product: LabeledKet, signed: bool) -> KetSum:
+    """Sum of the product over all permutations of its set assignments,
+    each term signed by the permutation's parity when ``signed``, with the
+    1/sqrt(k!) prefactor carried as exact squared metadata."""
+    sets = product.sets()
+    acc: dict[LabeledKet, Scalar] = {}
+    for perm in itertools.permutations(range(len(sets))):
+        ket = product.permute_sets({s: sets[p] for s, p in zip(sets, perm)})
+        acc[ket] = acc.get(ket, ZERO) + (-ONE if signed and _is_odd(perm) else ONE)
+    return KetSum.build(acc, Fraction(1, factorial(len(sets))))
 
 
 def antisymmetrize(product: LabeledKet) -> KetSum:
-    """Signed sum over permutations of the set assignments, with the
-    1/sqrt(k!) prefactor carried as exact squared metadata.
-
-    Duplicate labels make the whole sum vanish (exclusion); the zero result
-    is an explicit empty sum, never a bare list.
+    """Signed permutation sum.  Duplicate labels make the whole sum vanish
+    (exclusion); the zero result is an explicit empty sum, never a bare list.
     """
-    k = len(product.factors)
-    acc: dict[LabeledKet, Scalar] = {}
-    for perm, sign in _permutations_with_sign(product.sets()):
-        ket = product.permute_sets(perm)
-        acc[ket] = acc.get(ket, ZERO) + Scalar.of(sign)
-    return KetSum.build(acc, Fraction(1, factorial(k)))
+    return _permutation_sum(product, signed=True)
 
 
 def symmetrize(product: LabeledKet) -> KetSum:
     """Unsigned permutation sum with the same exact normalization scheme."""
-    k = len(product.factors)
-    acc: dict[LabeledKet, Scalar] = {}
-    for perm, _ in _permutations_with_sign(product.sets()):
-        ket = product.permute_sets(perm)
-        acc[ket] = acc.get(ket, ZERO) + ONE
-    return KetSum.build(acc, Fraction(1, factorial(k)))
+    return _permutation_sum(product, signed=False)
 
 
 def project(ketsum: KetSum, projector) -> KetSum:
@@ -358,17 +363,6 @@ class MultiSetOperator:
 def verify_permutation_invariance(op: MultiSetOperator) -> list[RelationReport]:
     """Exact exchange-symmetry reports for every transposition of sets."""
     total = op.assembled()
-    reports = []
-    for m in range(1, op.n_sets + 1):
-        for n in range(m + 1, op.n_sets + 1):
-            swapped = total.map_sites({m: n, n: m})
-            residual = swapped - total
-            reports.append(RelationReport(
-                suite="permutation-invariance",
-                relation=f"exchange sets {m} <-> {n}",
-                expected=total.render(),
-                actual=swapped.render(),
-                residual=residual.render(),
-                passed=residual.is_zero,
-            ))
-    return reports
+    return [relation_report("permutation-invariance", f"exchange sets {m} <-> {n}",
+                            expected=total, actual=total.map_sites({m: n, n: m}))
+            for m in range(1, op.n_sets + 1) for n in range(m + 1, op.n_sets + 1)]

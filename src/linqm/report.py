@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
+from .weyl import DiffOp
+
 _RENDER_CAP = 800
 
 
@@ -39,6 +41,25 @@ class RelationReport:
             "residual": clip(self.residual),
             "pass": self.passed,
         }
+
+
+def relation_report(suite: str, relation: str, expected: DiffOp, actual: DiffOp,
+                    expected_text: str | None = None) -> RelationReport:
+    """The record for the operator identity ``actual = expected``.
+
+    The residual ``actual - expected`` is computed once and every operator
+    is rendered once; ``expected_text`` replaces the rendering of
+    ``expected`` where a symbolic form reads better.
+    """
+    residual = actual - expected
+    return RelationReport(
+        suite=suite,
+        relation=relation,
+        expected=expected.render() if expected_text is None else expected_text,
+        actual=actual.render(),
+        residual=residual.render(),
+        passed=residual.is_zero,
+    )
 
 
 def sort_reports(reports: Iterable[RelationReport]) -> list[RelationReport]:

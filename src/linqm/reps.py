@@ -1,15 +1,16 @@
 """Polynomial representation spaces in two complex variables.
 
-Basis monomials are u^a v^b.  Two exact pairings are exposed:
+Basis monomials are u^a v^b.  One exact pairing, ``inner_product``, makes
+the monomials orthogonal; its ``pairing`` argument names the squared norm
+<u^a v^b | u^a v^b> from a table of two weights:
 
-* ``inner_product``: the closed form of the product-of-unit-disks integral,
-  <u^a v^b | u^a v^b> = 2/((a+1)(b+1)).  This reproduces the printed ket
-  normalizers exactly, but it is rotation invariant only up to degree one;
-  ``verify_pairing_invariance`` records the residuals either way.
-* ``invariant_inner_product``: the Gaussian-weight pairing with
-  <u^a v^b | u^a v^b> = a! b!, which is exactly invariant under every
-  unitary substitution.  Normalized operator matrices use these norms, so
-  spin matrices come out in their standard form.
+* ``"disk"``: 2/((a+1)(b+1)), the closed form of the product-of-unit-disks
+  integral.  This reproduces the printed ket normalizers exactly, but it is
+  rotation invariant only up to degree one; ``verify_pairing_invariance``
+  records the residuals either way.
+* ``"gaussian"``: a! b!, which is exactly invariant under every unitary
+  substitution.  Normalized operator matrices use these norms, so spin
+  matrices come out in their standard form.
 
 Irrational normalizers are never stored as coefficients; spaces carry the
 squared norms and only the float-valued normalized matrices take square
@@ -22,10 +23,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import linalg
 from .oplib import (NamedOperatorSet, cyclic_table, spin_generators,
                     verify_commutator_table)
 from .report import RelationReport
@@ -49,6 +51,20 @@ class BadDeterminant(ValueError):
 
 
 Monomial = tuple[int, int]
+
+_PAIRING_WEIGHTS: dict[str, Callable[[int, int], Fraction]] = {
+    "disk": lambda a, b: Fraction(2, (a + 1) * (b + 1)),
+    "gaussian": lambda a, b: Fraction(math.factorial(a) * math.factorial(b)),
+}
+
+
+def _pairing_weight(pairing: str) -> Callable[[int, int], Fraction]:
+    """Squared norm of u^a v^b under the named pairing, as a function of (a, b)."""
+    try:
+        return _PAIRING_WEIGHTS[pairing]
+    except KeyError:
+        raise ValueError(f"unknown pairing {pairing!r}; "
+                         f"expected one of {sorted(_PAIRING_WEIGHTS)}") from None
 
 
 def monomial_poly(mono: Monomial) -> DiffOp:
@@ -110,13 +126,12 @@ class RepSpace:
     @property
     def norms2(self) -> list[Fraction]:
         """Disk-product squared norms 2/((a+1)(b+1))."""
-        return [Fraction(2, (a + 1) * (b + 1)) for a, b in self.monomials]
+        return [_PAIRING_WEIGHTS["disk"](a, b) for a, b in self.monomials]
 
     @property
     def invariant_norms2(self) -> list[Fraction]:
         """Gaussian-weight squared norms a! b! (exactly unitary-invariant)."""
-        return [Fraction(math.factorial(a) * math.factorial(b))
-                for a, b in self.monomials]
+        return [_PAIRING_WEIGHTS["gaussian"](a, b) for a, b in self.monomials]
 
     def basis_polys(self) -> list[DiffOp]:
         return [monomial_poly(m) for m in self.monomials]
@@ -125,31 +140,16 @@ class RepSpace:
 # ----------------------------------------------------------------------
 # pairings
 # ----------------------------------------------------------------------
-def inner_product(f: DiffOp, g: DiffOp) -> Scalar:
-    """Disk-product pairing, conjugate linear in the first argument.
-
-    Monomials are orthogonal with <u^a v^b|u^a v^b> = 2/((a+1)(b+1)).
-    """
+def inner_product(f: DiffOp, g: DiffOp, pairing: str = "disk") -> Scalar:
+    """Pairing conjugate linear in the first argument; monomials are
+    orthogonal with <u^a v^b|u^a v^b> given by the named weight."""
+    weight = _pairing_weight(pairing)
     cf = _poly_monomial_coeffs(f)
     cg = _poly_monomial_coeffs(g)
     acc = ZERO
     for mono, c in cf.items():
         if mono in cg:
-            a, b = mono
-            acc = acc + c.conjugate() * cg[mono] * Fraction(2, (a + 1) * (b + 1))
-    return acc
-
-
-def invariant_inner_product(f: DiffOp, g: DiffOp) -> Scalar:
-    """Gaussian-weight pairing with monomial norms a! b!."""
-    cf = _poly_monomial_coeffs(f)
-    cg = _poly_monomial_coeffs(g)
-    acc = ZERO
-    for mono, c in cf.items():
-        if mono in cg:
-            a, b = mono
-            acc = acc + c.conjugate() * cg[mono] * Fraction(
-                math.factorial(a) * math.factorial(b))
+            acc = acc + c.conjugate() * cg[mono] * weight(*mono)
     return acc
 
 
@@ -176,17 +176,7 @@ class RepMatrix:
 
     def __matmul__(self, other: "RepMatrix") -> "RepMatrix":
         if self.exact and other.exact:
-            n = self.dim
-            rows = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = ZERO
-                    for k in range(n):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                rows.append(row)
-            return RepMatrix(n, True, rows)
+            return RepMatrix(self.dim, True, linalg.mat_mul(self.entries, other.entries))
         return RepMatrix(self.dim, False, self.to_numpy() @ other.to_numpy())
 
     def __eq__(self, other: object) -> bool:
@@ -357,7 +347,7 @@ def verify_pairing_invariance(space: RepSpace,
     pairing holds only on degree <= 1 spaces, and the reports localize the
     failures instead of asserting.
     """
-    pair = invariant_inner_product if pairing == "gaussian" else inner_product
+    _pairing_weight(pairing)  # reject an unknown name even with no elements
     basis = space.basis_polys()
     reports = []
     for name, a in elements:
@@ -367,8 +357,8 @@ def verify_pairing_invariance(space: RepSpace,
         ok = True
         for i in range(space.dim):
             for j in range(space.dim):
-                before = pair(basis[i], basis[j])
-                after = pair(images[i], images[j])
+                before = inner_product(basis[i], basis[j], pairing)
+                after = inner_product(images[i], images[j], pairing)
                 diff = after - before
                 if not diff.is_zero:
                     ok = False

@@ -1,0 +1,58 @@
+"""Golden digests of CLI output: refactors must leave every report byte as is.
+
+Each digest is sha256(stdout + b"\\0" + --out file bytes), the same scheme
+as the benchmark's pinned digests, recorded before the report builder,
+pairing table and permutation sum were folded into one code path each.
+"""
+
+import hashlib
+import itertools
+import math
+
+import pytest
+from sympy.combinatorics import Permutation
+
+from linqm import cli, fock
+from linqm.scalar import ONE
+
+GOLDEN = [
+    (["verify", "spacetime", "--random-eta", "8", "--n", "3", "--reconstructed"], 0,
+     "a68b90a44e720f80bacc6b38349140347fb1499d6f4393823394da1f6bfb4816"),
+    (["verify", "translation-flow", "--set", "translations", "--n", "2"], 0,
+     "f6b45cdc0a6798eb8fb28c30778abcfed5c5c8245774bb56f3171ff6f03e63e5"),
+    (["verify", "hermiticity", "--set", "translations", "--n", "2"], 2,
+     "64cbaa8ea2a69270b25ad1c2b9e32545b645595586d9fdb942b6cfabe7a0db50"),
+    (["verify", "invariance", "--target", "laplacian", "--gens", "su2",
+      "--finite-unitaries", "3", "--seed", "1"], 0,
+     "eaf64845acff1e087fcb0819cae1006da319ce64b281745735aac75ecf15570e"),
+    (["repr", "homomorphism", "--degree", "3", "--pairs", "4", "--seed", "2"], 0,
+     "4899726aa1089270e38da5b4c0b48714ef71cd973589cfca7b5fb204e7605a0c"),
+    (["fock", "antisym", "ABCD"], 0,
+     "900896490583727427f04a9b6c3d322d4efe6a16e4d131e5dcd6672718b631f9"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_cli_output_matches_golden_digest(argv, code, digest, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    if argv[0] != "fock":
+        argv = argv + ["--out", str(out)]
+    assert cli.main(argv) == code
+    stdout = capsys.readouterr().out.encode("utf-8")
+    report = out.read_bytes() if out.exists() else b""
+    assert hashlib.sha256(stdout + b"\0" + report).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_permutation_sum_signs_match_sympy(k):
+    """Distinct labels: each permuted ket appears once, with the permutation's
+    signature (antisymmetrize) or +1 (symmetrize)."""
+    labels = "ABCDE"[:k]
+    product = fock.LabeledKet.of(*[(lbl, s + 1) for s, lbl in enumerate(labels)])
+    anti = dict(fock.antisymmetrize(product).terms)
+    sym = dict(fock.symmetrize(product).terms)
+    assert len(anti) == len(sym) == math.factorial(k)
+    for perm in itertools.permutations(range(k)):
+        ket = product.permute_sets({s + 1: perm[s] + 1 for s in range(k)})
+        assert anti[ket] == ONE * Permutation(list(perm)).signature()
+        assert sym[ket] == ONE

@@ -263,3 +263,11 @@ def test_disk_pairing_invariant_only_at_degree_one():
     deg2 = reps.verify_pairing_invariance(
         reps.RepSpace.homogeneous(2), elements, "disk")
     assert not all_passed(deg2)
+
+
+def test_unknown_pairing_name_rejected():
+    element = [("A", reps.su2_from_quadruple(1, 2, 3, 4))]
+    with pytest.raises(ValueError, match="unknown pairing"):
+        reps.verify_pairing_invariance(reps.RepSpace.homogeneous(2), element, "gausian")
+    with pytest.raises(ValueError, match="unknown pairing"):
+        reps.inner_product(reps.monomial_poly((1, 0)), reps.monomial_poly((1, 0)), "Disk")

@@ -50,6 +50,12 @@ def _emit(reports_list, out: str | None, fmt: str, extra: dict | None = None) ->
     return 0 if payload["pass"] else 2
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _parse_fraction(text: str) -> Scalar:
     if "i" in text:
         raise ValueError("complex constants are not accepted here")
@@ -243,8 +249,8 @@ def cmd_collapse_run(args) -> int:
     probs = [float(tok) for tok in args.amps.split(",")]
     cfg = collapse.CollapseConfig.from_probs(
         probs, args.scheme, args.runs, args.seed,
-        dt=args.dt, steps=args.steps, record_traces=args.record_traces)
-    traces, summary = collapse.run_scheme(cfg)
+        dt=args.dt, steps=args.steps)
+    _, summary = collapse.run_scheme(cfg)
     born = collapse.born_test(summary, cfg.amplitudes)
     payload = {
         "config": cfg.to_json_obj(),
@@ -291,20 +297,20 @@ def build_parser() -> Parser:
 
     p = vsub.add_parser("lie", help="commutator tables")
     p.add_argument("--set", choices=LIE_SETS, default="xyz")
-    p.add_argument("--n", type=int, default=1, help="site count")
+    p.add_argument("--n", type=_positive_int, default=1, help="site count")
     common(p)
     p.set_defaults(fn=cmd_verify_lie)
 
     p = vsub.add_parser("hermiticity")
     p.add_argument("--set", choices=LIE_SETS + TARGETS, default="su2")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, default=1)
     common(p)
     p.set_defaults(fn=cmd_verify_hermiticity)
 
     p = vsub.add_parser("invariance")
     p.add_argument("--target", choices=TARGETS, default="laplacian")
     p.add_argument("--gens", choices=LIE_SETS, default="su2")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, default=1)
     p.add_argument("--finite-unitaries", type=int, default=0,
                    help="also check this many exact unitary substitutions")
     p.add_argument("--seed", type=int, default=0)
@@ -314,7 +320,7 @@ def build_parser() -> Parser:
     p = vsub.add_parser("spacetime")
     p.add_argument("--eta", default=None, help="JSON file with the eta matrix")
     p.add_argument("--random-eta", type=int, default=None, metavar="SEED")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--reading", choices=["site-slot", "slot-site"],
                    default="site-slot")
     p.add_argument("--reconstructed", action="store_true")
@@ -325,7 +331,7 @@ def build_parser() -> Parser:
     p.add_argument("--x", default="1,0,0,0", help="four rationals, comma separated")
     p.add_argument("--set", choices=["translations", "translations-reconstructed"],
                    default="translations")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, default=1)
     common(p)
     p.set_defaults(fn=cmd_verify_translation_flow)
 
@@ -339,7 +345,7 @@ def build_parser() -> Parser:
 
     p = rsub.add_parser("homomorphism")
     p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--pairs", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(fn=cmd_repr_homomorphism)
@@ -348,7 +354,7 @@ def build_parser() -> Parser:
     fsub = fk.add_subparsers(dest="fock_command", required=True, parser_class=Parser)
 
     p = fsub.add_parser("car")
-    p.add_argument("--modes", type=int, default=4)
+    p.add_argument("--modes", type=_positive_int, default=4)
     p.add_argument("--printed-variant", action="store_true",
                    help="also record the same-side index placement residuals")
     common(p)
@@ -376,7 +382,6 @@ def build_parser() -> Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--dt", type=float, default=1e-2)
     p.add_argument("--steps", type=int, default=10_000)
-    p.add_argument("--record-traces", type=int, default=8)
     common(p)
     p.set_defaults(fn=cmd_collapse_run)
 

@@ -37,16 +37,16 @@ class CollapseConfig:
     seed: int
     dt: float = 1e-2
     steps: int = 10_000
-    record_traces: int = 8
+    record_traces: int = 0
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         norm = sum(abs(a) ** 2 for a in self.amplitudes)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # also refuses NaN
             raise ValueError("amplitudes must have unit norm")
-        if self.runs < 1 or self.steps < 1:
-            raise ValueError("runs and steps must be positive")
+        if self.runs < 1 or self.steps < 1 or not 0 < self.dt < np.inf:
+            raise ValueError("runs, steps and dt must be positive, dt finite")
 
     @property
     def n(self) -> int:
@@ -56,8 +56,8 @@ class CollapseConfig:
     def from_probs(probs: Sequence[float], scheme: str, runs: int, seed: int,
                    **kw) -> "CollapseConfig":
         total = float(sum(probs))
-        if total <= 0:
-            raise ValueError("probabilities must be positive")
+        if total <= 0 or not all(0 <= p < np.inf for p in probs):
+            raise ValueError("probabilities must be finite, non-negative, not all zero")
         amps = tuple(complex(np.sqrt(p / total)) for p in probs)
         return CollapseConfig(amps, scheme, runs, seed, **kw)
 
@@ -76,7 +76,6 @@ class CollapseConfig:
 class RunTrace:
     """Full per-step weights for one recorded run."""
 
-    run_index: int
     beta: np.ndarray   # (steps+1, n)
     x: np.ndarray      # (steps+1, n), each row sums to one
     winner: int | None
@@ -129,26 +128,29 @@ _LINEAR_BETA = {"linear_drift": _linear_drift_beta,
                 "linear_noise": _linear_noise_beta}
 
 
+def _summarize(cfg: CollapseConfig, winners: np.ndarray,
+               converged: np.ndarray) -> CollapseSummary:
+    counts = np.bincount(winners[converged], minlength=cfg.n).tolist()
+    return CollapseSummary(cfg.scheme, cfg.n, cfg.runs, counts,
+                           cfg.runs - int(converged.sum()))
+
+
 def _run_linear(cfg: CollapseConfig) -> tuple[list[RunTrace], CollapseSummary]:
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.runs)
     beta_fn = _LINEAR_BETA[cfg.scheme]
     traces: list[RunTrace] = []
-    counts = [0] * cfg.n
-    nonconverged = 0
+    x_last = np.empty((cfg.runs, cfg.n))
+    converged = np.zeros(cfg.runs, dtype=bool)
     for run in range(cfg.runs):
         rng = np.random.default_rng(seeds[run])
         beta = beta_fn(rng, cfg.n, cfg.steps, cfg.dt)
         x = _x_of_beta(beta)
         absorbed = _first_absorbed(x)
-        winner = int(np.argmax(x[-1])) if absorbed is not None else None
-        if winner is None:
-            nonconverged += 1
-        else:
-            counts[winner] += 1
+        x_last[run], converged[run] = x[-1], absorbed is not None
         if run < cfg.record_traces:
-            traces.append(RunTrace(run, beta, x, winner, absorbed))
-    summary = CollapseSummary(cfg.scheme, cfg.n, cfg.runs, counts, nonconverged)
-    return traces, summary
+            winner = int(np.argmax(x[-1])) if absorbed is not None else None
+            traces.append(RunTrace(beta, x, winner, absorbed))
+    return traces, _summarize(cfg, np.argmax(x_last, axis=1), converged)
 
 
 _RUIN_CHUNK = 256
@@ -192,17 +194,19 @@ def _run_ruin(cfg: CollapseConfig) -> tuple[list[RunTrace], CollapseSummary]:
             j_sel = (i_sel + rng.integers(1, n, size=(chunk, m))) % n
         signs = rng.choice((-1.0, 1.0), size=(chunk, m))
         rows = np.arange(m)
-        live = w.max(axis=1) < 1.0 - ABSORPTION_EPS
+        live = np.ones(m, dtype=bool)  # compaction keeps only live rows
         for t in range(chunk):
             step += 1
+            # only columns i != j move, so only they are clipped and tested
             wi = w[rows, i_sel[t]]
             wj = w[rows, j_sel[t]]
             transfer = np.where(live, signs[t] * np.minimum(cfg.dt,
                                                             np.minimum(wi, wj)), 0.0)
-            w[rows, i_sel[t]] = wi + transfer
-            w[rows, j_sel[t]] = wj - transfer
-            np.clip(w, 0.0, 1.0, out=w)  # shed one-ulp overshoot at vertex hits
-            newly = live & (w.max(axis=1) >= 1.0 - ABSORPTION_EPS)
+            wi = np.clip(wi + transfer, 0.0, 1.0)  # shed one-ulp overshoot at vertex hits
+            wj = np.clip(wj - transfer, 0.0, 1.0)
+            w[rows, i_sel[t]] = wi
+            w[rows, j_sel[t]] = wj
+            newly = live & (np.maximum(wi, wj) >= 1.0 - ABSORPTION_EPS)
             if newly.any():
                 absorbed_step[alive[newly]] = step
                 live &= ~newly
@@ -212,33 +216,21 @@ def _run_ruin(cfg: CollapseConfig) -> tuple[list[RunTrace], CollapseSummary]:
                     w_final[alive[traced]] = w[traced]
                 rec.append(w_final[:k_rec].copy())
         w_final[alive] = w
-        keep = live
-        alive = alive[keep]
-        w = w[keep]
+        alive = alive[live]
+        w = w[live]
 
-    counts = [0] * n
-    nonconverged = 0
     winners = np.argmax(w_final, axis=1)
-    for run in range(runs):
-        if absorbed_step[run] >= 0:
-            counts[int(winners[run])] += 1
-        else:
-            nonconverged += 1
-
-    traces = []
-    if k_rec:
-        path = np.stack(rec, axis=0)  # (recorded_steps, k_rec, n)
-        for run in range(k_rec):
-            x = path[:, run, :]
-            s = int(absorbed_step[run]) if absorbed_step[run] >= 0 else None
-            winner = int(winners[run]) if s is not None else None
-            traces.append(RunTrace(run, np.sqrt(x), x, winner, s))
-    summary = CollapseSummary(cfg.scheme, n, runs, counts, nonconverged)
-    return traces, summary
+    converged = absorbed_step >= 0
+    path = np.stack(rec, axis=1) if k_rec else None  # (k_rec, recorded_steps, n)
+    traces = [RunTrace(np.sqrt(path[run]), path[run],
+                       int(winners[run]) if converged[run] else None,
+                       int(absorbed_step[run]) if converged[run] else None)
+              for run in range(k_rec)]
+    return traces, _summarize(cfg, winners, converged)
 
 
 def run_scheme(cfg: CollapseConfig) -> tuple[list[RunTrace], CollapseSummary]:
-    """Simulate the configured scheme; traces cover the first runs only."""
+    """Simulate the configured scheme; traces cover the first record_traces runs."""
     if cfg.scheme in LINEAR_SCHEMES:
         return _run_linear(cfg)
     return _run_ruin(cfg)
@@ -254,7 +246,6 @@ class BornReport:
     chi2: float
     p_value: float
     passed: bool
-    nonconverged: int
 
 
 THREE_SIGMA_P = 2 * stats.norm.sf(3.0)
@@ -272,8 +263,7 @@ def born_test(summary: CollapseSummary,
     done = sum(summary.winner_counts)
     freqs = summary.frequencies
     if done == 0:
-        return BornReport(freqs, targets, float("inf"), 0.0, False,
-                          summary.nonconverged)
+        return BornReport(freqs, targets, float("inf"), 0.0, False)
     chi2 = 0.0
     dof = 0
     impossible_hit = False
@@ -291,5 +281,4 @@ def born_test(summary: CollapseSummary,
     else:
         p_value = float(stats.chi2.sf(chi2, dof))
         passed = (p_value >= THREE_SIGMA_P) and not impossible_hit
-    return BornReport(freqs, targets, float(chi2), p_value, passed,
-                      summary.nonconverged)
+    return BornReport(freqs, targets, float(chi2), p_value, passed)

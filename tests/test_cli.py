@@ -144,6 +144,22 @@ def test_collapse_run_cli(tmp_path, capsys):
     assert payload["pass"] is True
 
 
+@pytest.mark.parametrize("extra", [
+    ["--amps", "0.3,nan"],
+    ["--amps=-0.5,1.5"],
+    ["--amps", "0.5,0.5", "--dt", "-1"],
+    ["--amps", "0.5,0.5", "--record-traces", "8"],  # the flag is gone
+])
+def test_collapse_run_bad_input_exits_one(extra, tmp_path, capsys):
+    out_file = tmp_path / "bad.json"
+    code, out, _ = run_cli(["collapse", "run", "--scheme", "linear_drift",
+                            "--runs", "20", "--seed", "1", "--steps", "50",
+                            "--out", str(out_file)] + extra, capsys)
+    assert code == 1
+    assert out == ""
+    assert not out_file.exists()
+
+
 def test_report_rerender(tmp_path, capsys):
     out_file = tmp_path / "rep.json"
     run_cli(["verify", "lie", "--set", "su2", "--out", str(out_file)], capsys)
@@ -162,6 +178,21 @@ def test_report_dir_env(tmp_path, capsys, monkeypatch):
 
 def test_missing_scenario_file_is_usage_error(capsys):
     assert cli.main(["sim", "branch", "/nonexistent/file.json"]) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "lie", "--set", "poincare", "--n", "0"],
+    ["verify", "hermiticity", "--set", "translations", "--n", "0"],
+    ["verify", "invariance", "--target", "oscillator", "--gens", "poincare", "--n", "0"],
+    ["verify", "spacetime", "--n", "-1"],
+    ["verify", "translation-flow", "--n", "0"],
+    ["fock", "car", "--modes", "0"],
+    ["repr", "homomorphism", "--pairs", "0"],
+])
+def test_zero_sizes_are_usage_errors(args, capsys):
+    code, out, _ = run_cli(args, capsys)
+    assert code == 1
+    assert "relations pass" not in out
 
 
 # ----------------------------------------------------------------------

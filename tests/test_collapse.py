@@ -20,6 +20,25 @@ def test_config_validation():
     assert abs(sum(abs(a) ** 2 for a in cfg.amplitudes) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("probs,kw", [
+    ([0.3, float("nan")], {}),
+    ([-0.5, 1.5], {}),
+    ([float("inf"), 1.0], {}),
+    ([0.5, 0.5], {"dt": -1.0}),
+    ([0.5, 0.5], {"dt": 0.0}),
+    ([0.5, 0.5], {"dt": float("nan")}),
+    ([0.5, 0.5], {"dt": float("inf")}),
+])
+def test_config_rejects_nonfinite_or_negative_inputs(probs, kw):
+    with pytest.raises(ValueError):
+        cfg_probs(probs, "nonlinear_ruin", 10, 0, **kw)
+
+
+def test_config_rejects_nan_amplitude():
+    with pytest.raises(ValueError):
+        collapse.CollapseConfig((complex("nan"), 1.0 + 0j), "nonlinear_ruin", 10, 0)
+
+
 # ----------------------------------------------------------------------
 # linear schemes: coefficient blindness
 # ----------------------------------------------------------------------
@@ -113,6 +132,34 @@ def test_deterministic_given_config():
     for a, b in zip(tr1, tr2):
         assert np.array_equal(a.x, b.x)
         assert a.absorbed_step == b.absorbed_step
+
+
+def test_ruin_traces_do_not_change_summary():
+    kw = dict(dt=0.02, steps=3000)
+    _, plain = collapse.run_scheme(cfg_probs([0.2, 0.3, 0.5], "nonlinear_ruin",
+                                             300, 3, **kw))
+    assert plain.nonconverged > 0  # the horizon cuts some runs short
+    k = 9
+    cfg = cfg_probs([0.2, 0.3, 0.5], "nonlinear_ruin", 300, 3, record_traces=k, **kw)
+    traces, traced = collapse.run_scheme(cfg)
+    assert traced.winner_counts == plain.winner_counts
+    assert traced.nonconverged == plain.nonconverged
+    assert len(traces) == k
+    for t in traces:
+        last = t.x[-1]
+        if t.winner is None:
+            assert t.absorbed_step is None
+            assert last.max() < 1.0 - collapse.ABSORPTION_EPS
+        else:
+            assert last[t.winner] == last.max() >= 1.0 - collapse.ABSORPTION_EPS
+            assert np.array_equal(t.x[t.absorbed_step:], np.broadcast_to(
+                last, t.x[t.absorbed_step:].shape))
+
+
+def test_traces_off_by_default():
+    cfg = cfg_probs([0.3, 0.7], "nonlinear_ruin", 40, 1, steps=200)
+    assert cfg.record_traces == 0
+    assert collapse.run_scheme(cfg)[0] == []
 
 
 def test_nonconverged_reported_not_fatal():

@@ -1,8 +1,10 @@
 """Golden digests of CLI output: refactors must leave every report byte as is.
 
 Each digest is sha256(stdout + b"\\0" + --out file bytes), the same scheme
-as the benchmark's pinned digests, recorded before the report builder,
-pairing table and permutation sum were folded into one code path each.
+as the benchmark's pinned digests.  The algebra digests were recorded
+before the report builder, pairing table and permutation sum were folded
+into one code path each; the two collapse digests before the ruin step was
+cut to the two touched coordinates and trace recording became opt-in.
 """
 
 import hashlib
@@ -29,6 +31,12 @@ GOLDEN = [
      "4899726aa1089270e38da5b4c0b48714ef71cd973589cfca7b5fb204e7605a0c"),
     (["fock", "antisym", "ABCD"], 0,
      "900896490583727427f04a9b6c3d322d4efe6a16e4d131e5dcd6672718b631f9"),
+    (["collapse", "run", "--scheme", "nonlinear_ruin", "--amps", "0.2,0.3,0.5",
+      "--runs", "300", "--seed", "3", "--dt", "0.02", "--steps", "6000"], 0,
+     "14395015588af1614429c7d68509a512cd24b1fb39703cee72d0a0fce9326c28"),
+    (["collapse", "run", "--scheme", "linear_noise", "--amps", "0.5,0.5",
+      "--runs", "200", "--seed", "3", "--steps", "1000"], 0,
+     "6b027c9d1e58a54cf8ff046a5012f0eab6dbb0107043613facbb2d5cafccb828"),
 ]
 
 

@@ -56,6 +56,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return int(text)
+
+
 def _parse_fraction(text: str) -> Scalar:
     if "i" in text:
         raise ValueError("complex constants are not accepted here")
@@ -311,7 +317,7 @@ def build_parser() -> Parser:
     p.add_argument("--target", choices=TARGETS, default="laplacian")
     p.add_argument("--gens", choices=LIE_SETS, default="su2")
     p.add_argument("--n", type=_positive_int, default=1)
-    p.add_argument("--finite-unitaries", type=int, default=0,
+    p.add_argument("--finite-unitaries", type=_nonnegative_int, default=0,
                    help="also check this many exact unitary substitutions")
     p.add_argument("--seed", type=int, default=0)
     common(p)

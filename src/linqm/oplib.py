@@ -148,26 +148,22 @@ def complex_laplacian() -> NamedOperatorSet:
 def oscillator(n: int = 1) -> NamedOperatorSet:
     """Pairing operator: minus crossed slot-1/slot-2 derivative pairs plus
     the matching multiplication pairs, summed over sites and conjugates."""
-    op = DiffOp.zero()
+    terms = []
     for i in range(1, n + 1):
         u1, v1, u2, v2 = uvar(1, i), vvar(1, i), uvar(2, i), vvar(2, i)
         for a, b in ((u1, v2), (v1, u2)):
             sign = ONE if a.family == "u" else -ONE
-            op = op - DiffOp.term(sign, (), [(a, 1), (b, 1)])
-            op = op - DiffOp.term(sign, (), [(a.conj(), 1), (b.conj(), 1)])
-            op = op + DiffOp.term(sign, [(a, 1), (b, 1)], ())
-            op = op + DiffOp.term(sign, [(a.conj(), 1), (b.conj(), 1)], ())
-    return NamedOperatorSet("oscillator", {"O": op}, sites=n)
+            terms += [DiffOp.term(-sign, (), [(a, 1), (b, 1)]),
+                      DiffOp.term(-sign, (), [(a.conj(), 1), (b.conj(), 1)]),
+                      DiffOp.term(sign, [(a, 1), (b, 1)], ()),
+                      DiffOp.term(sign, [(a.conj(), 1), (b.conj(), 1)], ())]
+    return NamedOperatorSet("oscillator", {"O": DiffOp.sum(terms)}, sites=n)
 
 
 def _doublet_sum(n: int, build: Callable[[Var, Var, Var, Var], DiffOp]) -> DiffOp:
     """Sum build(u, v, u~, v~) over both slots and all sites."""
-    out = DiffOp.zero()
-    for b in (1, 2):
-        for i in range(1, n + 1):
-            u, v = uvar(b, i), vvar(b, i)
-            out = out + build(u, v, u.conj(), v.conj())
-    return out
+    pairs = [(uvar(b, i), vvar(b, i)) for b in (1, 2) for i in range(1, n + 1)]
+    return DiffOp.sum(build(u, v, u.conj(), v.conj()) for u, v in pairs)
 
 
 def lorentz_generators(n: int = 1) -> NamedOperatorSet:
@@ -252,18 +248,18 @@ def internal_symmetry_generators(n: int, taus: Sequence[Sequence[Sequence[Scalar
                     raise BadTau(f"tau^{a} is not hermitian")
         if not trace.is_zero:
             raise BadTau(f"tau^{a} is not traceless")
-        op = DiffOp.zero()
+        terms = []
         for j in range(n):
             for k in range(n):
                 c = tau[j][k]
                 if c.is_zero:
                     continue
                 for fam in (uvar, vvar):
-                    op = op + _mono(c, fam(1, j + 1), fam(1, k + 1))
-                    op = op - _mono(c.conjugate(), fam(1, j + 1, True), fam(1, k + 1, True))
-                    op = op - _mono(tau[k][j], fam(2, j + 1), fam(2, k + 1))
-                    op = op + _mono(tau[k][j].conjugate(), fam(2, j + 1, True), fam(2, k + 1, True))
-        ops[f"T{a}"] = op
+                    terms += [_mono(c, fam(1, j + 1), fam(1, k + 1)),
+                              _mono(-c.conjugate(), fam(1, j + 1, True), fam(1, k + 1, True)),
+                              _mono(-tau[k][j], fam(2, j + 1), fam(2, k + 1)),
+                              _mono(tau[k][j].conjugate(), fam(2, j + 1, True), fam(2, k + 1, True))]
+        ops[f"T{a}"] = DiffOp.sum(terms)
     return NamedOperatorSet("sun", ops, sites=max(sites, n))
 
 
@@ -523,17 +519,11 @@ def build_spacetime_map(eta_raw: Sequence[Sequence[ScalarLike]],
             return Var(fam, k, 1, True)
 
     def pair_sum(terms: list[tuple[ScalarLike, str, str]]) -> DiffOp:
-        out = DiffOp.zero()
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                e = eta[j - 1][k - 1]
-                if e.is_zero:
-                    continue
-                for coeff, fam2, fam1 in terms:
-                    out = out + DiffOp.term(
-                        e * Scalar.of(coeff),
+        return DiffOp.sum(
+            DiffOp.term(eta[j - 1][k - 1] * Scalar.of(coeff),
                         [(factor2(fam2, j), 1), (factor1c(fam1, k), 1)], ())
-        return out
+            for j in range(1, n + 1) for k in range(1, n + 1)
+            for coeff, fam2, fam1 in terms)
 
     w0 = pair_sum([(1, "u", "u"), (1, "v", "v")])
     w3 = pair_sum([(1, "u", "u"), (-1, "v", "v")])
@@ -545,14 +535,11 @@ def build_spacetime_map(eta_raw: Sequence[Sequence[ScalarLike]],
     n1 = w1 + w1.conjugate()
     n2 = (w2 - w2.conjugate()).scale(I)
 
-    wz = DiffOp.zero()
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            e = eta[j - 1][k - 1].conjugate()
-            if e.is_zero:
-                continue
-            wz = wz + DiffOp.term(e, [(Var("u", 1, j), 1), (Var("v", 1, k), 1)], ())
-            wz = wz - DiffOp.term(e, [(Var("v", 1, j), 1), (Var("u", 1, k), 1)], ())
+    wz = DiffOp.sum(
+        DiffOp.term(sign * eta[j - 1][k - 1].conjugate(),
+                    [(Var(fj, 1, j), 1), (Var(fk, 1, k), 1)], ())
+        for j in range(1, n + 1) for k in range(1, n + 1)
+        for sign, fj, fk in ((1, "u", "v"), (-1, "v", "u")))
     z = (wz - wz.conjugate()).scale(-I)
 
     if z.is_zero:

@@ -11,6 +11,18 @@ as independent formal variables, linked only through ``conjugate`` and
 
 A polynomial is simply an operator whose terms carry no derivatives.
 
+Internal form: an operator is one positive integer denominator plus a dict
+that maps each term key to the integer pair (re, im), the Gaussian-integer
+numerator of that term's coefficient.  The form is canonical -- zero terms
+are dropped and the gcd of the denominator and every numerator part is 1 --
+so operator equality is a plain comparison.  A term key is (mults, derivs),
+each half a tuple of (variable id, power >= 1) sorted by id.  Ids are small
+integers from a private intern table that is only ever appended to, so all
+ring operations are integer work.  Ids never reach the outside: ``terms``,
+``term_items``, ``coefficient``, ``variables`` and ``render`` convert back to
+``Scalar`` coefficients and ``Var`` factors ordered by ``Var.key``, so the
+order in which variables were first met cannot change any answer.
+
 Text form (documented in docs/operator-text-format.md): a sum of terms
 ``(coeff)*var^k*...*d[var]^m*...`` where a variable prints as its family
 letter, a ``~`` suffix for conjugation, and bracketed indices ``[slot,site]``
@@ -22,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from . import linalg
@@ -71,7 +83,7 @@ class Var:
     @property
     def key(self) -> tuple:
         """Fixed total order used for canonical term ordering."""
-        return (self.family, self.slot or 0, self.site, self.conjugated)
+        return (self.family, self.slot or 0, self.site, self.conjugated, self.real)
 
     def conj(self) -> "Var":
         if self.real:
@@ -90,32 +102,121 @@ class Var:
         return self.label()
 
 
-# A term key is (mults, derivs); each half is a tuple of (Var, power>=1)
+# Public term form: (mults, derivs), each a tuple of (Var, power >= 1)
 # sorted by Var.key.
 Mults = tuple[tuple[Var, int], ...]
 TermKey = tuple[Mults, Mults]
 
+# Internal term form: the same with variable ids, sorted by id, and the
+# Gaussian-integer numerator of each term's coefficient.
+Powers = tuple[tuple[int, int], ...]
+Key = tuple[Powers, Powers]
+Numerators = dict[Key, tuple[int, int]]
+
 OpLike = Union["DiffOp", Scalar, int, Fraction]
 
+# The intern table: id -> Var, Var -> id, and id -> id of the conjugate.  A
+# variable and its conjugate are interned together.  It is only ever
+# appended to, and ids order nothing that leaves this module, so sharing it
+# across callers cannot change an answer.
+_VARS: list[Var] = []
+_IDS: dict[Var, int] = {}
+_CONJ: list[int] = []
 
-def _sorted_powers(powers: Mapping[Var, int]) -> Mults:
-    items = []
-    for v, p in powers.items():
+
+def _intern(v: Var) -> int:
+    i = _IDS.get(v)
+    if i is None:
+        i = _IDS[v] = len(_VARS)
+        c = v.conj()
+        if c == v:
+            _VARS.append(v)
+            _CONJ.append(i)
+        else:
+            _IDS[c] = i + 1
+            _VARS.extend((v, c))
+            _CONJ.extend((i + 1, i))
+    return i
+
+
+def _powers(acc: Mapping[int, int]) -> Powers:
+    """Canonical powers: zeros dropped, bounds checked, sorted by id."""
+    out = []
+    for i, p in sorted(acc.items()):
         if p == 0:
             continue
         if p < 0:
-            raise ValueError(f"negative exponent for {v}")
+            raise ValueError(f"negative exponent for {_VARS[i]}")
         if p > MAX_EXPONENT:
-            raise ExponentOverflow(f"exponent {p} for {v} exceeds bound")
-        items.append((v, p))
-    return tuple(sorted(items, key=lambda it: it[0].key))
+            raise ExponentOverflow(f"exponent {p} for {_VARS[i]} exceeds bound")
+        out.append((i, p))
+    return tuple(out)
 
 
-def _merge_powers(a: Mults, b: Mults) -> Mults:
-    acc: dict[Var, int] = dict(a)
-    for v, p in b:
-        acc[v] = acc.get(v, 0) + p
-    return _sorted_powers(acc)
+def _merge(a: Powers, b: Powers) -> Powers:
+    """Product of two canonical monomials."""
+    if not a:
+        return b
+    if not b:
+        return a
+    acc = dict(a)
+    for i, p in b:
+        if i in acc:
+            p += acc[i]
+            if p > MAX_EXPONENT:
+                raise ExponentOverflow(f"exponent {p} for {_VARS[i]} exceeds bound")
+        acc[i] = p
+    return tuple(sorted(acc.items()))
+
+
+def _ids(powers: Iterable[tuple[Var, int]]) -> Powers:
+    acc: dict[int, int] = {}
+    for v, p in powers:
+        i = _intern(v)
+        acc[i] = acc.get(i, 0) + p
+    return _powers(acc)
+
+
+def _vars(powers: Powers) -> Mults:
+    return tuple(sorted(((_VARS[i], p) for i, p in powers), key=lambda vp: vp[0].key))
+
+
+def _conj(powers: Powers) -> Powers:
+    return _powers({_CONJ[i]: p for i, p in powers})
+
+
+def _gauss(c: ScalarLike) -> tuple[int, int, int]:
+    """(re, im, den) with c = (re + im*i) / den and den > 0."""
+    s = Scalar.of(c)
+    den = lcm(s.re.denominator, s.im.denominator)
+    return (s.re.numerator * (den // s.re.denominator),
+            s.im.numerator * (den // s.im.denominator), den)
+
+
+def _scalar(num: tuple[int, int], den: int) -> Scalar:
+    return Scalar(Fraction(num[0], den), Fraction(num[1], den))
+
+
+def _make(den: int, acc: Numerators) -> "DiffOp":
+    """The canonical operator with coefficients acc[key] / den."""
+    num = {k: c for k, c in acc.items() if c[0] or c[1]}
+    g = den
+    for re, im in num.values():
+        if g == 1:
+            break
+        g = gcd(g, re, im)
+    if g != 1:
+        den //= g
+        num = {k: (re // g, im // g) for k, (re, im) in num.items()}
+    op = DiffOp()
+    op._den = den
+    op._num = num
+    return op
+
+
+def _add_to(acc: Numerators, key: Key, re: int, im: int) -> None:
+    r, i = acc.get(key, (0, 0))
+    acc[key] = (r + re, i + im)
 
 
 def _falling(p: int, k: int) -> int:
@@ -125,8 +226,8 @@ def _falling(p: int, k: int) -> int:
     return out
 
 
-def _term_sort_key(key: TermKey):
-    mults, derivs = key
+def _term_sort_key(term: tuple[Scalar, Mults, Mults]):
+    _, mults, derivs = term
     return (tuple((v.key, p) for v, p in mults),
             tuple((v.key, p) for v, p in derivs))
 
@@ -134,16 +235,11 @@ def _term_sort_key(key: TermKey):
 class DiffOp:
     """A normal-ordered differential operator with exact coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_den", "_num")
 
-    def __init__(self, terms: Mapping[TermKey, Scalar] | None = None):
-        cleaned: dict[TermKey, Scalar] = {}
-        if terms:
-            for key, coeff in terms.items():
-                c = Scalar.of(coeff)
-                if not c.is_zero:
-                    cleaned[key] = c
-        self._terms = cleaned
+    def __init__(self) -> None:
+        self._den = 1
+        self._num: Numerators = {}
 
     # ------------------------------------------------------------------
     # constructors
@@ -154,79 +250,67 @@ class DiffOp:
 
     @staticmethod
     def constant(c: ScalarLike) -> "DiffOp":
-        return DiffOp({((), ()): Scalar.of(c)})
+        return DiffOp.term(c)
 
     @staticmethod
     def variable(v: Var) -> "DiffOp":
-        return DiffOp({(((v, 1),), ()): ONE})
+        return DiffOp.term(ONE, [(v, 1)])
 
     @staticmethod
     def derivative(v: Var) -> "DiffOp":
-        return DiffOp({((), ((v, 1),)): ONE})
+        return DiffOp.term(ONE, (), [(v, 1)])
 
     @staticmethod
     def term(coeff: ScalarLike, mults: Iterable[tuple[Var, int]] = (),
              derivs: Iterable[tuple[Var, int]] = ()) -> "DiffOp":
-        m: dict[Var, int] = {}
-        for v, p in mults:
-            m[v] = m.get(v, 0) + p
-        d: dict[Var, int] = {}
-        for v, p in derivs:
-            d[v] = d.get(v, 0) + p
-        return DiffOp({(_sorted_powers(m), _sorted_powers(d)): Scalar.of(coeff)})
+        re, im, den = _gauss(coeff)
+        return _make(den, {(_ids(mults), _ids(derivs)): (re, im)})
 
     @staticmethod
     def sum(ops: Iterable["DiffOp"]) -> "DiffOp":
-        acc: dict[TermKey, Scalar] = {}
+        ops = list(ops)
+        den = lcm(*(op._den for op in ops))
+        acc: Numerators = {}
         for op in ops:
-            for key, c in op._terms.items():
-                acc[key] = acc.get(key, ZERO) + c
-        return DiffOp(acc)
+            f = den // op._den
+            for key, (re, im) in op._num.items():
+                _add_to(acc, key, f * re, f * im)
+        return _make(den, acc)
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     @property
     def is_polynomial(self) -> bool:
-        return all(not derivs for (_, derivs) in self._terms)
+        return all(not derivs for (_, derivs) in self._num)
 
     def terms(self) -> list[tuple[Scalar, Mults, Mults]]:
         """Terms in canonical order."""
-        return [(self._terms[k], k[0], k[1])
-                for k in sorted(self._terms, key=_term_sort_key)]
+        return sorted(((_scalar(c, self._den), _vars(m), _vars(d))
+                       for (m, d), c in self._num.items()), key=_term_sort_key)
 
     def n_terms(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
-    def term_items(self):
-        """Raw (key, coefficient) pairs; order is not canonical."""
-        return self._terms.items()
+    def term_items(self) -> list[tuple[TermKey, Scalar]]:
+        """(key, coefficient) pairs; order is not canonical."""
+        return [((_vars(m), _vars(d)), _scalar(c, self._den))
+                for (m, d), c in self._num.items()]
 
     def coefficient(self, mults: Mults, derivs: Mults) -> Scalar:
-        return self._terms.get((mults, derivs), ZERO)
+        return _scalar(self._num.get((_ids(mults), _ids(derivs)), (0, 0)), self._den)
 
     def variables(self) -> set[Var]:
-        out: set[Var] = set()
-        for mults, derivs in self._terms:
-            out.update(v for v, _ in mults)
-            out.update(v for v, _ in derivs)
-        return out
-
-    def max_derivative_order(self) -> int:
-        """Largest total derivative order appearing in any term."""
-        best = 0
-        for _, derivs in self._terms:
-            best = max(best, sum(p for _, p in derivs))
-        return best
+        return {_VARS[i] for mults, derivs in self._num for i, _ in mults + derivs}
 
     def is_derivation(self) -> bool:
         """True when every term has total derivative order exactly one."""
-        return bool(self._terms) and all(
-            sum(p for _, p in derivs) == 1 for _, derivs in self._terms)
+        return bool(self._num) and all(
+            sum(p for _, p in derivs) == 1 for _, derivs in self._num)
 
     # ------------------------------------------------------------------
     # ring structure
@@ -234,14 +318,10 @@ class DiffOp:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __add__(self, other: OpLike) -> "DiffOp":
-        o = _as_op(other)
-        acc = dict(self._terms)
-        for key, c in o._terms.items():
-            acc[key] = acc.get(key, ZERO) + c
-        return DiffOp(acc)
+        return DiffOp.sum((self, _as_op(other)))
 
     __radd__ = __add__
 
@@ -252,24 +332,25 @@ class DiffOp:
         return _as_op(other) + (-self)
 
     def __neg__(self) -> "DiffOp":
-        return DiffOp({k: -c for k, c in self._terms.items()})
+        return _make(self._den, {k: (-re, -im) for k, (re, im) in self._num.items()})
 
     def scale(self, c: ScalarLike) -> "DiffOp":
-        s = Scalar.of(c)
-        if s.is_zero:
-            return DiffOp.zero()
-        return DiffOp({k: s * v for k, v in self._terms.items()})
+        p, q, den = _gauss(c)
+        return _make(self._den * den, {k: (re * p - im * q, re * q + im * p)
+                                       for k, (re, im) in self._num.items()})
 
     def __mul__(self, other: OpLike) -> "DiffOp":
         if not isinstance(other, DiffOp):
             return self.scale(other)
-        acc: dict[TermKey, Scalar] = {}
-        for (m1, d1), c1 in self._terms.items():
-            for (m2, d2), c2 in other._terms.items():
-                for coeff, mults, derivs in _compose_terms(c1, m1, d1, c2, m2, d2):
-                    key = (mults, derivs)
-                    acc[key] = acc.get(key, ZERO) + coeff
-        return DiffOp(acc)
+        acc: Numerators = {}
+        for (m1, d1), (a1, b1) in self._num.items():
+            for (m2, d2), (a2, b2) in other._num.items():
+                re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                for f, key in _compose(m1, d1, m2, d2):
+                    # _add_to inlined: this is the kernel's innermost loop
+                    r, i = acc.get(key, (0, 0))
+                    acc[key] = (r + f * re, i + f * im)
+        return _make(self._den * other._den, acc)
 
     def __rmul__(self, other: OpLike) -> "DiffOp":
         if isinstance(other, DiffOp):
@@ -293,24 +374,21 @@ class DiffOp:
         """
         if not poly.is_polynomial:
             raise NotAPolynomial("apply target must be derivative-free")
-        acc: dict[TermKey, Scalar] = {}
-        for (m1, d1), c1 in self._terms.items():
-            for (mf, _), cf in poly._terms.items():
+        acc: Numerators = {}
+        for (m1, d1), (a1, b1) in self._num.items():
+            for (mf, _), (af, bf) in poly._num.items():
                 powers = dict(mf)
-                coeff = c1 * cf
-                dead = False
-                for v, order in d1:
-                    p = powers.get(v, 0)
+                f = 1
+                for i, order in d1:
+                    p = powers.get(i, 0)
                     if p < order:
-                        dead = True
                         break
-                    coeff = coeff * _falling(p, order)
-                    powers[v] = p - order
-                if dead or coeff.is_zero:
-                    continue
-                key = (_merge_powers(m1, _sorted_powers(powers)), ())
-                acc[key] = acc.get(key, ZERO) + coeff
-        return DiffOp(acc)
+                    f *= _falling(p, order)
+                    powers[i] = p - order
+                else:
+                    _add_to(acc, (_merge(m1, _powers(powers)), ()),
+                            f * (a1 * af - b1 * bf), f * (a1 * bf + b1 * af))
+        return _make(self._den * poly._den, acc)
 
     def adjoint(self) -> "DiffOp":
         """Formal adjoint under x* = x~ and (d/dx)* = -d/dx~.
@@ -319,23 +397,17 @@ class DiffOp:
         (d/dx)* = -d/dx.  The map reverses products and conjugates
         coefficients, and is involutive.
         """
-        out = DiffOp.zero()
-        for (mults, derivs), c in self._terms.items():
-            total_order = sum(p for _, p in derivs)
-            sign = -1 if total_order % 2 else 1
-            deriv_part = DiffOp.term(ONE, (), [(v.conj(), p) for v, p in derivs])
-            mult_part = DiffOp.term(ONE, [(v.conj(), p) for v, p in mults], ())
-            out = out + (deriv_part * mult_part).scale(c.conjugate() * sign)
-        return out
+        acc: Numerators = {}
+        for (mults, derivs), (re, im) in self._num.items():
+            sign = -1 if sum(p for _, p in derivs) % 2 else 1
+            for f, key in _compose((), _conj(derivs), _conj(mults), ()):
+                _add_to(acc, key, sign * f * re, -sign * f * im)
+        return _make(self._den, acc)
 
     def conjugate(self) -> "DiffOp":
         """Formal complex conjugate: coefficients and variables conjugated."""
-        acc: dict[TermKey, Scalar] = {}
-        for (mults, derivs), c in self._terms.items():
-            key = (_sorted_powers({v.conj(): p for v, p in mults}),
-                   _sorted_powers({v.conj(): p for v, p in derivs}))
-            acc[key] = acc.get(key, ZERO) + c.conjugate()
-        return DiffOp(acc)
+        return _make(self._den, {(_conj(m), _conj(d)): (re, -im)
+                                 for (m, d), (re, im) in self._num.items()})
 
     def substitute(self, sub: "LinearSub") -> "DiffOp":
         return sub.apply(self)
@@ -346,17 +418,19 @@ class DiffOp:
         if len(set(values)) != len(values):
             raise ValueError("site map must be injective")
 
-        def recast(v: Var) -> Var:
-            if v.site in mapping:
-                return Var(v.family, v.slot, mapping[v.site], v.conjugated, v.real)
-            return v
+        def recast(powers: Powers) -> Powers:
+            out = []
+            for i, p in powers:
+                v = _VARS[i]
+                if v.site in mapping:
+                    v = Var(v.family, v.slot, mapping[v.site], v.conjugated, v.real)
+                out.append((v, p))
+            return _ids(out)
 
-        acc: dict[TermKey, Scalar] = {}
-        for (mults, derivs), c in self._terms.items():
-            key = (_sorted_powers({recast(v): p for v, p in mults}),
-                   _sorted_powers({recast(v): p for v, p in derivs}))
-            acc[key] = acc.get(key, ZERO) + c
-        return DiffOp(acc)
+        acc: Numerators = {}
+        for (mults, derivs), (re, im) in self._num.items():
+            _add_to(acc, (recast(mults), recast(derivs)), re, im)
+        return _make(self._den, acc)
 
     # ------------------------------------------------------------------
     # rendering
@@ -387,40 +461,32 @@ def _as_op(x: OpLike) -> DiffOp:
     return DiffOp.constant(x)
 
 
-def _compose_terms(c1: Scalar, m1: Mults, d1: Mults,
-                   c2: Scalar, m2: Mults, d2: Mults):
-    """Normal-order the product (m1 d1)*(m2 d2).
+def _compose(m1: Powers, d1: Powers, m2: Powers, d2: Powers) -> list[tuple[int, Key]]:
+    """Normal-order the product (m1 d1)*(m2 d2) into (integer factor, key) pairs.
 
     Only the derivatives of the left term interact with the multiplications
     of the right term; per shared variable x the rewrite is
 
         d^m x^p = sum_k C(m,k) * p(p-1)...(p-k+1) * x^(p-k) d^(m-k).
     """
-    d1_map = dict(d1)
-    m2_map = dict(m2)
-    shared = [v for v, _ in d1 if v in m2_map]
-    base = c1 * c2
+    m2_map = dict(m2) if d1 else {}
+    shared = [(i, m, m2_map[i]) for i, m in d1 if i in m2_map]
     if not shared:
-        yield base, _merge_powers(m1, m2), _merge_powers(d1, d2)
-        return
-    choices = []
-    for v in shared:
-        m, p = d1_map[v], m2_map[v]
-        choices.append([(v, k, comb(m, k) * _falling(p, k))
-                        for k in range(min(m, p) + 1)])
+        return [(1, (_merge(m1, m2), _merge(d1, d2)))]
+    d1_map = dict(d1)
+    choices = [[(i, k, comb(m, k) * _falling(p, k)) for k in range(min(m, p) + 1)]
+               for i, m, p in shared]
+    out = []
     for combo in itertools.product(*choices):
-        coeff = base
+        f = 1
         m2_left = dict(m2_map)
         d1_left = dict(d1_map)
-        for v, k, factor in combo:
-            coeff = coeff * factor
-            m2_left[v] -= k
-            d1_left[v] -= k
-        if coeff.is_zero:
-            continue
-        mults = _merge_powers(m1, _sorted_powers(m2_left))
-        derivs = _merge_powers(_sorted_powers(d1_left), d2)
-        yield coeff, mults, derivs
+        for i, k, factor in combo:
+            f *= factor
+            m2_left[i] -= k
+            d1_left[i] -= k
+        out.append((f, (_merge(m1, _powers(m2_left)), _merge(_powers(d1_left), d2))))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -500,22 +566,23 @@ class LinearSub:
         return self._apply_with(op, deriv_images)
 
     def _apply_with(self, op: DiffOp, deriv_images: dict[Var, DiffOp] | None) -> DiffOp:
-        out = DiffOp.zero()
-        for coeff, mults, derivs in op.terms():
-            piece = DiffOp.constant(coeff)
-            for v, p in mults:
-                img = self.image_poly(v)
+        pieces = []
+        for (mults, derivs), c in op._num.items():
+            piece = _make(op._den, {((), ()): c})
+            for i, p in mults:
+                img = self.image_poly(_VARS[i])
                 for _ in range(p):
                     piece = piece * img
-            for v, p in derivs:
+            for i, p in derivs:
+                v = _VARS[i]
                 if deriv_images is None:
                     img = DiffOp.derivative(v)
                 else:
                     img = deriv_images.get(v, DiffOp.derivative(v))
                 for _ in range(p):
                     piece = piece * img
-            out = out + piece
-        return out
+            pieces.append(piece)
+        return DiffOp.sum(pieces)
 
     def compose(self, first: "LinearSub") -> "LinearSub":
         """The map 'apply ``first``, then self' (self o first)."""

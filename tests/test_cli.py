@@ -54,6 +54,8 @@ def test_invariance_with_finite_unitaries(capsys):
                             "--gens", "su2", "--finite-unitaries", "4",
                             "--seed", "5"], capsys)
     assert code == 0
+    # zero substitutions is a valid count; negative counts are usage errors
+    assert run_cli(["verify", "invariance", "--finite-unitaries", "0"], capsys)[0] == 0
 
 
 def test_hermiticity_printed_translations_fail(capsys):
@@ -188,6 +190,7 @@ def test_missing_scenario_file_is_usage_error(capsys):
     ["verify", "translation-flow", "--n", "0"],
     ["fock", "car", "--modes", "0"],
     ["repr", "homomorphism", "--pairs", "0"],
+    ["verify", "invariance", "--finite-unitaries", "-3"],
 ])
 def test_zero_sizes_are_usage_errors(args, capsys):
     code, out, _ = run_cli(args, capsys)

@@ -4,18 +4,27 @@ Each digest is sha256(stdout + b"\\0" + --out file bytes), the same scheme
 as the benchmark's pinned digests.  The algebra digests were recorded
 before the report builder, pairing table and permutation sum were folded
 into one code path each; the two collapse digests before the ruin step was
-cut to the two touched coordinates and trace recording became opt-in.
+cut to the two touched coordinates and trace recording became opt-in; the
+lie and random-eta spacetime digests before the operator kernel moved to
+integer coefficients over one denominator and interned variable ids.
 """
 
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from sympy.combinatorics import Permutation
 
 from linqm import cli, fock
 from linqm.scalar import ONE
+
+SPACETIME_N4 = (["verify", "spacetime", "--random-eta", "3", "--n", "4"], 2,
+                "105db1c3077ae26705fbd7df14ff206d5aa7247ad41831541cca6499d77e19e4")
 
 GOLDEN = [
     (["verify", "spacetime", "--random-eta", "8", "--n", "3", "--reconstructed"], 0,
@@ -29,6 +38,9 @@ GOLDEN = [
      "eaf64845acff1e087fcb0819cae1006da319ce64b281745735aac75ecf15570e"),
     (["repr", "homomorphism", "--degree", "3", "--pairs", "4", "--seed", "2"], 0,
      "4899726aa1089270e38da5b4c0b48714ef71cd973589cfca7b5fb204e7605a0c"),
+    (["verify", "lie", "--set", "poincare-reconstructed", "--n", "2"], 0,
+     "25e7a14ffb95416e817fe8c6c239c75a33d0125f50b8307ccc11f6908d302368"),
+    SPACETIME_N4,
     (["fock", "antisym", "ABCD"], 0,
      "900896490583727427f04a9b6c3d322d4efe6a16e4d131e5dcd6672718b631f9"),
     (["collapse", "run", "--scheme", "nonlinear_ruin", "--amps", "0.2,0.3,0.5",
@@ -49,6 +61,39 @@ def test_cli_output_matches_golden_digest(argv, code, digest, tmp_path, capsys):
     stdout = capsys.readouterr().out.encode("utf-8")
     report = out.read_bytes() if out.exists() else b""
     assert hashlib.sha256(stdout + b"\0" + report).hexdigest() == digest
+
+
+# Interns every u/v variable of the spacetime golden command in the reverse
+# of the order the command would meet them, then runs that command.
+REVERSED_INTERN = """
+import hashlib, io, os, sys, tempfile
+from contextlib import redirect_stdout
+from linqm import cli
+from linqm.weyl import DiffOp, Var
+for site in range(4, 0, -1):
+    for slot in (2, 1):
+        for fam in ("v", "u"):
+            DiffOp.variable(Var(fam, slot, site, True))
+            DiffOp.variable(Var(fam, slot, site))
+with tempfile.TemporaryDirectory() as tmp:
+    out = os.path.join(tmp, "report.json")
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(sys.argv[1:] + ["--out", out])
+    with open(out, "rb") as fh:
+        report = fh.read()
+print(code, hashlib.sha256(buf.getvalue().encode("utf-8") + b"\\0" + report).hexdigest())
+"""
+
+
+def test_golden_digest_independent_of_intern_order():
+    argv, code, digest = SPACETIME_N4
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", REVERSED_INTERN, *argv], env=env,
+                            capture_output=True, text=True, timeout=300, check=True)
+    assert result.stdout.split() == [str(code), digest]
 
 
 @pytest.mark.parametrize("k", range(1, 6))

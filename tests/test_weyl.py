@@ -149,3 +149,13 @@ def test_term_ordering_deterministic():
     op = v * du + u * dv + DiffOp.constant(1)
     assert [t[0] for t in op.terms()] == [ONE, ONE, ONE]
     assert op.render() == "(1) + (1)*u*d[v] + (1)*v*d[u]"
+
+
+def test_real_and_complex_namesakes_are_distinct_and_commute():
+    # Var("x", real=True) and Var("x") differ only in the real flag, which
+    # is the last tie-break of Var.key
+    xr, xc = DiffOp.variable(Var("x", real=True)), DiffOp.variable(Var("x"))
+    assert xr * xc == xc * xr
+    assert (xr * xc - xc * xr).render() == "0"
+    assert (xr * xc).n_terms() == 1
+    assert Var("x").key < Var("x", real=True).key

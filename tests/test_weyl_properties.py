@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,3 +107,74 @@ def test_substitution_composes(first, second, op):
 def test_substitution_linear_on_polys(sub, f, g):
     assert sub.apply(f + g) == sub.apply(f) + sub.apply(g)
     assert sub.apply(f * g) == sub.apply(f) * sub.apply(g)
+
+
+# ----------------------------------------------------------------------
+# sympy oracle: operators and polynomials are drawn as term lists, built
+# once as DiffOps and once as sympy actions, so the oracle never goes
+# through DiffOp.apply or DiffOp.__mul__.
+# ----------------------------------------------------------------------
+SYMBOLS = {v: sympy.Symbol(v.label()) for v in POOL}
+
+gaussian = st.tuples(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4),
+                     st.integers(1, 10**4)).filter(lambda t: t[0] or t[1])
+op_specs = st.lists(st.tuples(gaussian, powers, powers), min_size=1, max_size=3)
+poly_specs = st.lists(
+    st.tuples(gaussian, st.lists(st.tuples(variables, st.integers(1, 3)), max_size=3),
+              st.just([])),
+    min_size=1, max_size=3)
+
+
+def _build(spec):
+    return DiffOp.sum(DiffOp.term(Scalar(Fraction(a, d), Fraction(b, d)), m, ds)
+                      for (a, b, d), m, ds in spec)
+
+
+def _sym_coeff(re: Fraction, im: Fraction):
+    return sympy.Rational(re.numerator, re.denominator) \
+        + sympy.I * sympy.Rational(im.numerator, im.denominator)
+
+
+def _sym_monomial(mults):
+    return sympy.Mul(*[SYMBOLS[v] ** p for v, p in mults])
+
+
+def _sym_poly(items):
+    """Sum of coefficient times monomial over (re, im, mults) items."""
+    return sympy.expand(sympy.Add(*[_sym_coeff(re, im) * _sym_monomial(m)
+                                    for re, im, m in items]))
+
+
+def _sym_apply(spec, f):
+    """Normal-ordered action: each term differentiates f, then multiplies."""
+    total = 0
+    for (a, b, d), mults, derivs in spec:
+        g = f
+        for v, p in derivs:
+            g = sympy.diff(g, SYMBOLS[v], p)
+        total += _sym_coeff(Fraction(a, d), Fraction(b, d)) * _sym_monomial(mults) * g
+    return sympy.expand(total)
+
+
+def to_sympy(poly: DiffOp):
+    assert poly.is_polynomial
+    return _sym_poly((c.re, c.im, mults) for c, mults, _ in poly.terms())
+
+
+@settings(max_examples=30, deadline=None)
+@given(op_specs, op_specs, poly_specs)
+def test_mul_and_apply_match_sympy_oracle(a_spec, b_spec, f_spec):
+    a, b, f = _build(a_spec), _build(b_spec), _build(f_spec)
+    sym_f = _sym_poly((Fraction(x, d), Fraction(y, d), m) for (x, y, d), m, _ in f_spec)
+    assert sympy.expand(to_sympy(a.apply(f)) - _sym_apply(a_spec, sym_f)) == 0
+    assert sympy.expand(to_sympy((a * b).apply(f))
+                        - _sym_apply(a_spec, _sym_apply(b_spec, sym_f))) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(op_specs)
+def test_canonical_form_survives_round_trips(spec):
+    op = _build(spec)
+    assert op.scale(Fraction(1, 3)).scale(3) == op
+    assert op - op == DiffOp.zero()
+    assert DiffOp.sum(DiffOp.term(c, m, d) for c, m, d in op.terms()) == op

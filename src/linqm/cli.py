@@ -169,11 +169,10 @@ def cmd_repr_table(args) -> int:
     }
     for label in ("Sx", "Sy", "Sz"):
         exact = reps.matrix_rep(spin[label], space)
-        norm = reps.matrix_rep(spin[label], space, normalized=True)
         payload["matrices"][label] = {
             "exact": [[str(e) for e in row] for row in exact.entries],
             "normalized": [[[z.real, z.imag] for z in row]
-                           for row in norm.to_numpy().tolist()],
+                           for row in exact.normalized(space)],
         }
     text = report.render_json(payload)
     if args.format == "text":
@@ -283,7 +282,8 @@ def cmd_report(args) -> int:
                                       r["actual"], r["residual"], r["pass"])
                 for r in payload["relations"]]
         sys.stdout.write(report.render_text(rows))
-    return 0 if payload.get("pass", True) else 2
+    vacuous = "relations" in payload and not payload["relations"]
+    return 2 if vacuous or not payload.get("pass", True) else 0
 
 
 # ----------------------------------------------------------------------

@@ -196,21 +196,19 @@ def translation_generators(n: int = 1, reconstructed: bool = False) -> NamedOper
     conjugated slot-1 doublet).  The reconstructed set is labeled as such
     and is not presented as the printed one.
     """
-    p0 = DiffOp.zero()
-    p1 = DiffOp.zero()
-    p3 = DiffOp.zero()
-    p2r = DiffOp.zero()
-    for i in range(1, n + 1):
-        u1, v1 = uvar(1, i), vvar(1, i)
-        u2, v2 = uvar(2, i), vvar(2, i)
-        p0 = (p0 + _mono(ONE, u1, v2.conj()) - _mono(ONE, v1, u2.conj())
-              - _mono(ONE, u1.conj(), v2) + _mono(ONE, v1.conj(), u2))
-        p1 = (p1 - _mono(ONE, u1, u2.conj()) + _mono(ONE, v1, v2.conj())
-              + _mono(ONE, u1.conj(), u2) - _mono(ONE, v1.conj(), v2))
-        p3 = (p3 + _mono(ONE, u1, v2.conj()) + _mono(ONE, v1, u2.conj())
-              - _mono(ONE, u1.conj(), v2) - _mono(ONE, v1.conj(), u2))
-        p2r = (p2r + _mono(I, u1, u2.conj()) + _mono(I, v1, v2.conj())
-               + _mono(I, u1.conj(), u2) + _mono(I, v1.conj(), v2))
+    sites = [(uvar(1, i), vvar(1, i), uvar(2, i), vvar(2, i)) for i in range(1, n + 1)]
+    p0 = DiffOp.sum(t for u1, v1, u2, v2 in sites for t in (
+        _mono(ONE, u1, v2.conj()), _mono(-ONE, v1, u2.conj()),
+        _mono(-ONE, u1.conj(), v2), _mono(ONE, v1.conj(), u2)))
+    p1 = DiffOp.sum(t for u1, v1, u2, v2 in sites for t in (
+        _mono(-ONE, u1, u2.conj()), _mono(ONE, v1, v2.conj()),
+        _mono(ONE, u1.conj(), u2), _mono(-ONE, v1.conj(), v2)))
+    p3 = DiffOp.sum(t for u1, v1, u2, v2 in sites for t in (
+        _mono(ONE, u1, v2.conj()), _mono(ONE, v1, u2.conj()),
+        _mono(-ONE, u1.conj(), v2), _mono(-ONE, v1.conj(), u2)))
+    p2r = DiffOp.sum(t for u1, v1, u2, v2 in sites for t in (
+        _mono(I, u1, u2.conj()), _mono(I, v1, v2.conj()),
+        _mono(I, u1.conj(), u2), _mono(I, v1.conj(), v2)))
     if reconstructed:
         ops = {"P0": p0, "P1": p1, "P2": p2r, "P3": p3}
         return NamedOperatorSet("translations-reconstructed", ops, sites=n)

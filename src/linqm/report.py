@@ -71,10 +71,11 @@ def all_passed(reports: Iterable[RelationReport]) -> bool:
 
 
 def reports_payload(reports: Iterable[RelationReport], **extra) -> dict:
+    """Report file body; an empty relation list verifies nothing and fails."""
     ordered = sort_reports(reports)
     payload = {
         "relations": [r.to_json_obj() for r in ordered],
-        "pass": all(r.passed for r in ordered),
+        "pass": bool(ordered) and all_passed(ordered),
     }
     payload.update(extra)
     return payload

@@ -13,8 +13,8 @@ the monomials orthogonal; its ``pairing`` argument names the squared norm
   matrices come out in their standard form.
 
 Irrational normalizers are never stored as coefficients; spaces carry the
-squared norms and only the float-valued normalized matrices take square
-roots.
+squared norms and only ``RepMatrix.normalized``, which returns complex
+floats, takes square roots.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from . import linalg
 from .oplib import (NamedOperatorSet, cyclic_table, spin_generators,
@@ -158,33 +156,23 @@ def inner_product(f: DiffOp, g: DiffOp, pairing: str = "disk") -> Scalar:
 # ----------------------------------------------------------------------
 @dataclass
 class RepMatrix:
-    """Matrix of an operator or group element on a RepSpace basis."""
+    """Exact matrix of an operator or group element on a RepSpace basis."""
 
     dim: int
-    exact: bool
-    entries: list[list[Scalar]] | np.ndarray
-
-    def exact_entry(self, i: int, j: int) -> Scalar:
-        if not self.exact:
-            raise ValueError("matrix is float valued")
-        return self.entries[i][j]
-
-    def to_numpy(self) -> np.ndarray:
-        if self.exact:
-            return np.array([[e.to_complex() for e in row] for row in self.entries])
-        return np.asarray(self.entries)
+    entries: list[list[Scalar]]
 
     def __matmul__(self, other: "RepMatrix") -> "RepMatrix":
-        if self.exact and other.exact:
-            return RepMatrix(self.dim, True, linalg.mat_mul(self.entries, other.entries))
-        return RepMatrix(self.dim, False, self.to_numpy() @ other.to_numpy())
+        return RepMatrix(self.dim, linalg.mat_mul(self.entries, other.entries))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RepMatrix):
-            return NotImplemented
-        if self.exact and other.exact:
-            return self.entries == other.entries
-        return bool(np.array_equal(self.to_numpy(), other.to_numpy()))
+    def normalized(self, space: RepSpace) -> list[list[complex]]:
+        """Entries on the basis of ``space`` rescaled to unit invariant norm.
+
+        The rescaling takes square roots, so the entries are Python complex
+        numbers; structural identities should be checked on the exact matrix.
+        """
+        norms = space.invariant_norms2
+        return [[e.to_complex() * math.sqrt(norms[i] / norms[j])
+                 for j, e in enumerate(row)] for i, row in enumerate(self.entries)]
 
 
 def _expand_on_basis(poly: DiffOp, space: RepSpace) -> list[Scalar]:
@@ -198,24 +186,16 @@ def _expand_on_basis(poly: DiffOp, space: RepSpace) -> list[Scalar]:
     return column
 
 
-def matrix_rep(op: DiffOp, space: RepSpace, normalized: bool = False) -> RepMatrix:
-    """Matrix of a differential operator on the space.
+def _matrix_of_images(images: Iterable[DiffOp], space: RepSpace) -> RepMatrix:
+    """Matrix whose column j expands the image of basis monomial j."""
+    columns = [_expand_on_basis(p, space) for p in images]
+    return RepMatrix(space.dim, [list(row) for row in zip(*columns)])
 
-    Exact Gaussian-rational entries on the raw monomial basis.  With
-    ``normalized`` the basis is rescaled to unit invariant norm, which
-    introduces square roots, so the matrix is float valued; structural
-    identities should be checked on the exact monomial matrix.
-    """
-    columns = [_expand_on_basis(op.apply(p), space) for p in space.basis_polys()]
-    exact = [[columns[j][i] for j in range(space.dim)] for i in range(space.dim)]
-    if not normalized:
-        return RepMatrix(space.dim, True, exact)
-    norms = space.invariant_norms2
-    arr = np.zeros((space.dim, space.dim), dtype=complex)
-    for i in range(space.dim):
-        for j in range(space.dim):
-            arr[i, j] = exact[i][j].to_complex() * math.sqrt(norms[i] / norms[j])
-    return RepMatrix(space.dim, False, arr)
+
+def matrix_rep(op: DiffOp, space: RepSpace) -> RepMatrix:
+    """Exact Gaussian-rational matrix of a differential operator on the
+    raw monomial basis of the space."""
+    return _matrix_of_images((op.apply(p) for p in space.basis_polys()), space)
 
 
 def substitution_of_matrix(a: Sequence[Sequence[ScalarLike]]) -> LinearSub:
@@ -239,9 +219,7 @@ def rep_of_group_element(a: Sequence[Sequence[ScalarLike]],
     if det != ONE:
         raise BadDeterminant(f"determinant is {det}, not 1")
     sub = substitution_of_matrix(m)
-    columns = [_expand_on_basis(p.substitute(sub), space) for p in space.basis_polys()]
-    entries = [[columns[j][i] for j in range(space.dim)] for i in range(space.dim)]
-    return RepMatrix(space.dim, True, entries)
+    return _matrix_of_images((p.substitute(sub) for p in space.basis_polys()), space)
 
 
 # ----------------------------------------------------------------------
@@ -321,10 +299,10 @@ def casimir_spectrum(gens: NamedOperatorSet, space: RepSpace,
     eigs: list[Fraction] = []
     for i in range(space.dim):
         for j in range(space.dim):
-            entry = mat.exact_entry(i, j)
+            entry = mat.entries[i][j]
             if i != j and not entry.is_zero:
                 raise NotInvariantSubspace("invariant is not diagonal on this basis")
-        diag = mat.exact_entry(i, i)
+        diag = mat.entries[i][i]
         if diag.im != 0:
             raise ValueError("invariant eigenvalue should be real")
         eigs.append(diag.re)

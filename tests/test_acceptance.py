@@ -54,11 +54,10 @@ def test_c02_spin_generator_table_and_hermiticity():
 def test_c03_normalized_spin_matrices():
     with criterion("C03", "normalized spin matrices: half-sigma-x and spin-1"):
         spin = oplib.spin_generators()
-        deg1 = reps.matrix_rep(spin["Sx"], reps.RepSpace.homogeneous(1),
-                               normalized=True).to_numpy()
+        space1, space2 = reps.RepSpace.homogeneous(1), reps.RepSpace.homogeneous(2)
+        deg1 = np.array(reps.matrix_rep(spin["Sx"], space1).normalized(space1))
         assert deg1.tolist() == [[0.0, 0.5], [0.5, 0.0]]  # exact float halves
-        deg2 = reps.matrix_rep(spin["Sx"], reps.RepSpace.homogeneous(2),
-                               normalized=True).to_numpy()
+        deg2 = np.array(reps.matrix_rep(spin["Sx"], space2).normalized(space2))
         assert np.max(np.abs(deg2 - ladder_spin_matrix(1.0))) <= 1e-12
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from linqm import cli
+from linqm import cli, report
 
 
 def run_cli(args, capsys):
@@ -168,6 +172,29 @@ def test_report_rerender(tmp_path, capsys):
     code, out, _ = run_cli(["report", str(out_file), "--format", "text"], capsys)
     assert code == 0
     assert "relations pass" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_report_with_no_relations_fails(fmt, tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"relations": [], "pass": True}))
+    code, _, _ = run_cli(["report", str(empty), "--format", fmt], capsys)
+    assert code == 2
+
+
+def test_empty_reports_payload_does_not_pass():
+    assert report.reports_payload([])["pass"] is False
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    """scipy.stats would take most of each command's start-up time."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, linqm.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.split() == ["False"]
 
 
 def test_report_dir_env(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from linqm import collapse
 
@@ -121,6 +122,21 @@ def test_born_test_rejects_impossible_winner():
     summary = collapse.CollapseSummary("nonlinear_ruin", 2, 10, [9, 1], 0)
     report = collapse.born_test(summary, (1.0 + 0j, 0j))
     assert not report.passed
+
+
+@pytest.mark.parametrize("dof", range(1, 5))
+def test_born_p_value_matches_scipy_stats_chi2(dof):
+    """The special-function kernels give scipy.stats' tail values exactly."""
+    n = dof + 1
+    amps = [complex((1 / n) ** 0.5)] * n
+    for counts in ([100] * n, [100 + 3 * k for k in range(n)],
+                   [100 + 40 * k for k in range(n)], [1000] + [0] * dof,
+                   [1] * dof + [2]):
+        summary = collapse.CollapseSummary("nonlinear_ruin", n, sum(counts), counts, 0)
+        report = collapse.born_test(summary, amps)
+        assert report.p_value == float(stats.chi2.sf(report.chi2, dof))
+        assert report.passed == (report.p_value >= 2 * stats.norm.sf(3.0))
+    assert collapse.THREE_SIGMA_P == 2 * stats.norm.sf(3.0)
 
 
 def test_deterministic_given_config():

@@ -6,7 +6,9 @@ before the report builder, pairing table and permutation sum were folded
 into one code path each; the two collapse digests before the ruin step was
 cut to the two touched coordinates and trace recording became opt-in; the
 lie and random-eta spacetime digests before the operator kernel moved to
-integer coefficients over one denominator and interned variable ids.
+integer coefficients over one denominator and interned variable ids; the
+repr table digest before the normalized spin matrices moved from a
+float-valued ``RepMatrix`` mode to plain complex entries.
 """
 
 import hashlib
@@ -41,6 +43,8 @@ GOLDEN = [
     (["verify", "lie", "--set", "poincare-reconstructed", "--n", "2"], 0,
      "25e7a14ffb95416e817fe8c6c239c75a33d0125f50b8307ccc11f6908d302368"),
     SPACETIME_N4,
+    (["repr", "table", "--degree", "4", "--format", "json"], 0,
+     "34ef39a340f9bd20107e1112e352bd6f7cae8aefe6dc72184384e91f411feaa3"),
     (["fock", "antisym", "ABCD"], 0,
      "900896490583727427f04a9b6c3d322d4efe6a16e4d131e5dcd6672718b631f9"),
     (["collapse", "run", "--scheme", "nonlinear_ruin", "--amps", "0.2,0.3,0.5",

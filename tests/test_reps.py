@@ -88,8 +88,8 @@ def test_identity_matrix_on_any_space():
 def test_degree1_spin_matrix_exact_half_sigma_x():
     spin = oplib.spin_generators()
     space = reps.RepSpace.homogeneous(1)
-    mat = reps.matrix_rep(spin["Sx"], space, normalized=True)
-    assert mat.to_numpy().tolist() == [[0, 0.5], [0.5, 0]]
+    mat = reps.matrix_rep(spin["Sx"], space).normalized(space)
+    assert mat == [[0, 0.5], [0.5, 0]]
 
 
 def ladder_spin_matrix(s: float) -> np.ndarray:
@@ -106,7 +106,7 @@ def ladder_spin_matrix(s: float) -> np.ndarray:
 def test_degree2_spin_matrix_matches_ladder_oracle():
     spin = oplib.spin_generators()
     space = reps.RepSpace.homogeneous(2)
-    mat = reps.matrix_rep(spin["Sx"], space, normalized=True).to_numpy()
+    mat = np.array(reps.matrix_rep(spin["Sx"], space).normalized(space))
     assert np.max(np.abs(mat - ladder_spin_matrix(1.0))) < 1e-12
 
 
@@ -114,7 +114,7 @@ def test_normalized_sz_is_diagonal_spectrum():
     spin = oplib.spin_generators()
     for d in range(4):
         space = reps.RepSpace.homogeneous(d)
-        mat = reps.matrix_rep(spin["Sz"], space, normalized=True).to_numpy()
+        mat = np.array(reps.matrix_rep(spin["Sz"], space).normalized(space))
         expected = np.diag([float(x) for x in reps.spin_spectrum(space)])
         assert np.max(np.abs(mat - expected)) == 0
 
@@ -157,11 +157,11 @@ def test_rep_of_rational_rotation_hand_expansion():
     a = [[Scalar(c), Scalar(s)], [Scalar(-s), Scalar(c)]]
     space = reps.RepSpace.homogeneous(2)
     mat = reps.rep_of_group_element(a, space)
-    assert mat.exact_entry(0, 0) == Scalar(c * c)
-    assert mat.exact_entry(1, 0) == Scalar(2 * c * -s)
-    assert mat.exact_entry(2, 0) == Scalar(s * s)
-    assert mat.exact_entry(0, 1) == Scalar(c * s)
-    assert mat.exact_entry(1, 1) == Scalar(c * c - s * s)
+    assert mat.entries[0][0] == Scalar(c * c)
+    assert mat.entries[1][0] == Scalar(2 * c * -s)
+    assert mat.entries[2][0] == Scalar(s * s)
+    assert mat.entries[0][1] == Scalar(c * s)
+    assert mat.entries[1][1] == Scalar(c * c - s * s)
 
 
 def test_bad_determinant_rejected():

@@ -272,9 +272,19 @@ def cmd_collapse_run(args) -> int:
     return 0 if born.passed else 2
 
 
+REPORT_ROW_KEYS = ("suite", "relation", "expected", "actual", "residual", "pass")
+
+
 def cmd_report(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{args.file}: a report must be a JSON object")
+    rows = payload.get("relations", [])
+    if not isinstance(rows, list) or not all(
+            isinstance(r, dict) and r.keys() >= set(REPORT_ROW_KEYS) for r in rows):
+        raise ValueError(f"{args.file}: 'relations' must be a list of objects "
+                         f"with keys {', '.join(REPORT_ROW_KEYS)}")
     if args.format == "json" or "relations" not in payload:
         sys.stdout.write(report.render_json(payload))
     else:

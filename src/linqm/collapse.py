@@ -11,7 +11,10 @@ equals the initial weight |a_k|^2, which is what passes the frequency test.
 
 Determinism: linear schemes draw from one generator per run, seeded by
 SeedSequence(master).spawn(run); the nonlinear scheme evolves all runs in
-lockstep from SeedSequence(master).  Identical configurations give
+lockstep from SeedSequence(master), drawing a chunk of pair choices and
+signs at a time.  It evaluates each chunk a block of steps at a time, yet
+every weight equals the one a step-at-a-time loop over the same draws
+computes, bit for bit (see ``_run_ruin``).  Identical configurations give
 byte-identical outputs.
 """
 
@@ -156,6 +159,119 @@ def _run_linear(cfg: CollapseConfig) -> tuple[list[RunTrace], CollapseSummary]:
 
 
 _RUIN_CHUNK = 256
+# Elements in each (steps x rows) array of a sub-block: with few live rows
+# one sub-block spans the whole chunk, with many it is a handful of steps.
+_RUIN_BLOCK = 1 << 17
+# From this many (rows x coordinates) one np.add per step outruns
+# np.cumsum, whose accumulation is a scalar loop.
+_RUIN_WIDE = 1024
+
+
+def _ruin_step(w: np.ndarray, i, j, sign: np.ndarray, dt: float) -> np.ndarray:
+    """One exact step on rows ``w`` (updated in place); True where it absorbs."""
+    rows = np.arange(w.shape[0])
+    wi, wj = w[rows, i], w[rows, j]
+    transfer = sign * np.minimum(dt, np.minimum(wi, wj))
+    wi = np.clip(wi + transfer, 0.0, 1.0)  # shed one-ulp overshoot at vertex hits
+    wj = np.clip(wj - transfer, 0.0, 1.0)
+    w[rows, i], w[rows, j] = wi, wj
+    return np.maximum(wi, wj) >= 1.0 - ABSORPTION_EPS
+
+
+def _ruin_block(w: np.ndarray, live: np.ndarray, signs: np.ndarray,
+                pairs: tuple[np.ndarray, np.ndarray] | None, dt: float,
+                traced: int) -> tuple[np.ndarray, np.ndarray]:
+    """Advance rows ``w`` (in place) through one sub-block of steps.
+
+    ``signs`` and the pair selections ``pairs`` (None: always (0, 1)) are
+    small-integer arrays shaped (steps, rows).  Returns each row's
+    absorbing step offset (-1 if none; ``live`` is cleared there) and the
+    weights after every step of the first ``traced`` rows, shaped
+    (steps, traced, n).
+
+    Each round accumulates its rows' remaining steps in one time-major
+    (steps+1, n, rows) buffer, keeps it up to each row's first step that is
+    not interior, takes that step with ``_ruin_step`` and sends the row
+    into the next round from the step after it.
+    """
+    steps, m = signs.shape
+    n = w.shape[1]
+    hit = np.full(m, -1, dtype=np.int64)
+    path = np.empty((steps, traced, n))
+    if pairs is None:  # each step moves +-s on coordinate 0, -+s on 1
+        d = np.array([[1], [-1]], dtype=np.int8)
+        touched = np.ones((1, 2, 1), dtype=bool)
+    else:
+        coords = np.arange(n, dtype=pairs[0].dtype)[:, None]
+    rows, first = np.arange(m), np.zeros(m, dtype=np.int64)
+    while rows.size:
+        t0 = int(first.min())
+        span, width = steps - t0, rows.size
+        cols = slice(None) if width == m else rows  # the opening round slices
+        if pairs is not None:
+            eq_i = pairs[0][t0:, cols][:, None] == coords
+            eq_j = pairs[1][t0:, cols][:, None] == coords
+            d = eq_i.view(np.int8) - eq_j.view(np.int8)
+            touched = eq_i | eq_j
+        c = np.empty((span + 1, n, width))
+        c[0] = w[cols].T
+        # No increment on steps before a row's restart point, nor on pairs
+        # with a coordinate at exactly 0.0: they move by +-0 from then on.
+        before = np.arange(span)[:, None] < first - t0 if t0 < first.max() else None
+        idle = before
+        dead = (c[0] == 0.0) & live[rows]
+        if dead.any():
+            dead_pair = np.logical_or.reduce(touched & dead, axis=1)
+            idle = dead_pair if idle is None else idle | dead_pair
+        q = signs[t0:, cols] * live[rows].view(np.int8)
+        if idle is not None:
+            q *= ~idle
+        np.multiply(q[:, None] * d, dt, out=c[1:])
+        # Sequential accumulation: each row is the one before plus +-dt or
+        # +-0, so it equals the stepwise w + s and w - s bit for bit.
+        if width * n < _RUIN_WIDE:
+            np.cumsum(c, axis=0, out=c)
+        else:
+            for t in range(span):
+                np.add(c[t], c[t + 1], out=c[t + 1])
+        # Interior step: both touched coordinates at least dt, so it moves
+        # exactly +-dt and needs no clip.  A live row's untouched
+        # coordinates stay below 1 - eps, so any crossing absorbs.
+        bad = np.logical_or.reduce((c[:-1] < dt) & touched, axis=1)
+        if idle is not None:
+            bad &= ~idle
+        event = bad | np.logical_or.reduce(c[1:] >= 1.0 - ABSORPTION_EPS, axis=1)
+        w[cols] = c[-1].T
+        if traced:
+            tc = np.searchsorted(rows, traced)
+            vals = c[1:, :, :tc].transpose(0, 2, 1)
+            if before is not None:
+                vals = np.where(before[:, :tc, None], path[t0:, rows[:tc]], vals)
+            path[t0:, rows[:tc]] = vals
+        ev = np.nonzero(np.logical_or.reduce(event, axis=0) & live[rows])[0]
+        at = event[:, ev].argmax(axis=0)
+        replay = bad[at, ev]
+        # the first event absorbs: clip that step's state, as _ruin_step does
+        ab, ab_at = ev[~replay], at[~replay]
+        w[rows[ab]] = np.clip(c[ab_at + 1, :, ab], 0.0, 1.0)
+        # the first event is a boundary step: take it exactly
+        rp, rp_at = ev[replay], at[replay]
+        state = c[rp_at, :, rp]
+        i_rp = 0 if pairs is None else pairs[0][rp_at + t0, rows[rp]]
+        j_rp = 1 if pairs is None else pairs[1][rp_at + t0, rows[rp]]
+        newly = _ruin_step(state, i_rp, j_rp, signs[rp_at + t0, rows[rp]], dt)
+        w[rows[rp]] = state
+        stops = np.concatenate([ab, rp[newly]])
+        stop_at = np.concatenate([ab_at, rp_at[newly]]) + t0
+        hit[rows[stops]] = stop_at
+        live[rows[stops]] = False
+        if traced:  # a row that goes on is rewritten from the next step
+            for r, t in zip(rows[ev], at + t0):
+                if r < traced:
+                    path[t:, r] = w[r]
+        more = ~newly & (rp_at + t0 + 1 < steps)
+        rows, first = rows[rp[more]], rp_at[more] + t0 + 1
+    return hit, path
 
 
 def _run_ruin(cfg: CollapseConfig) -> tuple[list[RunTrace], CollapseSummary]:
@@ -168,6 +284,20 @@ def _run_ruin(cfg: CollapseConfig) -> tuple[list[RunTrace], CollapseSummary]:
     |a_k|^2.  The cap makes coordinates die at exactly zero, so runs end
     on an exact vertex.  Absorbed runs are compacted away between chunks;
     the evolution is a deterministic function of the configuration.
+
+    Evaluation is blocked (``_ruin_block``), and bit-identical to taking
+    the steps one at a time:
+    - a step whose pair has both weights at least dt moves exactly +-dt
+      and clips nothing; a pair with a weight at exactly 0.0 moves by +-0;
+    - so a block of such steps is a cumulative sum of +-dt and +-0
+      increments from the starting weights, accumulated in step order,
+      and ``x + (-dt) == x - dt`` and ``x + (+-0.0) == x`` in IEEE
+      arithmetic;
+    - an absorbing step is clipped to [0, 1], as the step rule does;
+    - any other (boundary) step is taken by the step rule itself, and the
+      row's block resumes after it.
+    The draws are the same calls in the same order as a stepwise loop, so
+    the summary and every recorded trace are unchanged byte for byte.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     n, runs = cfg.n, cfg.runs
@@ -182,48 +312,42 @@ def _run_ruin(cfg: CollapseConfig) -> tuple[list[RunTrace], CollapseSummary]:
     w = w_final[alive].copy()
 
     k_rec = min(cfg.record_traces, runs)
-    rec = [w_final[:k_rec].copy()] if k_rec else []
+    rec = [w_final[:k_rec, None].copy()] if k_rec else []
 
     step = 0
     while step < cfg.steps and alive.size:
         chunk = min(_RUIN_CHUNK, cfg.steps - step)
         m = alive.size
-        if n == 2:
-            i_sel = np.zeros((chunk, m), dtype=np.int64)
-            j_sel = np.ones((chunk, m), dtype=np.int64)
-        else:
-            i_sel = rng.integers(0, n, size=(chunk, m))
-            j_sel = (i_sel + rng.integers(1, n, size=(chunk, m))) % n
-        signs = rng.choice((-1.0, 1.0), size=(chunk, m))
-        rows = np.arange(m)
+        pairs = None  # two outcomes: always the pair (0, 1)
+        if n > 2:
+            idx = np.min_scalar_type(-2 * n)  # holds i + offset < 2n
+            i_sel = rng.integers(0, n, size=(chunk, m)).astype(idx)
+            j_sel = i_sel + rng.integers(1, n, size=(chunk, m)).astype(idx)
+            j_sel -= (j_sel >= n) * idx.type(n)  # (i + offset) mod n
+            pairs = (i_sel, j_sel)
+        signs = rng.choice((-1.0, 1.0), size=(chunk, m)).astype(np.int8)
         live = np.ones(m, dtype=bool)  # compaction keeps only live rows
-        for t in range(chunk):
-            step += 1
-            # only columns i != j move, so only they are clipped and tested
-            wi = w[rows, i_sel[t]]
-            wj = w[rows, j_sel[t]]
-            transfer = np.where(live, signs[t] * np.minimum(cfg.dt,
-                                                            np.minimum(wi, wj)), 0.0)
-            wi = np.clip(wi + transfer, 0.0, 1.0)  # shed one-ulp overshoot at vertex hits
-            wj = np.clip(wj - transfer, 0.0, 1.0)
-            w[rows, i_sel[t]] = wi
-            w[rows, j_sel[t]] = wj
-            newly = live & (np.maximum(wi, wj) >= 1.0 - ABSORPTION_EPS)
-            if newly.any():
-                absorbed_step[alive[newly]] = step
-                live &= ~newly
+        traced = int(np.searchsorted(alive, k_rec))  # alive is sorted
+        block = max(1, min(chunk, _RUIN_BLOCK // m))
+        for t0 in range(0, chunk, block):
+            t1 = min(t0 + block, chunk)
+            hit, path = _ruin_block(
+                w, live, signs[t0:t1],
+                None if pairs is None else (pairs[0][t0:t1], pairs[1][t0:t1]),
+                cfg.dt, traced)
+            absorbed_step[alive[hit >= 0]] = step + t0 + 1 + hit[hit >= 0]
             if k_rec:
-                traced = alive < k_rec
-                if traced.any():
-                    w_final[alive[traced]] = w[traced]
-                rec.append(w_final[:k_rec].copy())
+                seg = np.repeat(w_final[:k_rec, None], t1 - t0, axis=1)
+                seg[alive[:traced]] = path.transpose(1, 0, 2)
+                rec.append(seg)
+        step += chunk
         w_final[alive] = w
         alive = alive[live]
         w = w[live]
 
     winners = np.argmax(w_final, axis=1)
     converged = absorbed_step >= 0
-    path = np.stack(rec, axis=1) if k_rec else None  # (k_rec, recorded_steps, n)
+    path = np.concatenate(rec, axis=1) if k_rec else None  # (k_rec, recorded_steps, n)
     traces = [RunTrace(np.sqrt(path[run]), path[run],
                        int(winners[run]) if converged[run] else None,
                        int(absorbed_step[run]) if converged[run] else None)

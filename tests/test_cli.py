@@ -182,6 +182,20 @@ def test_report_with_no_relations_fails(fmt, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("payload", [{"relations": None}, [], {"relations": [1]},
+                                     {"relations": [{"suite": "lie:xyz"}]}],
+                         ids=["null-relations", "top-level-list", "non-object-row",
+                              "missing-row-keys"])
+def test_report_rejects_malformed_file(payload, fmt, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, out, err = run_cli(["report", str(bad), "--format", fmt], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("linqm: error: ")
+
+
 def test_empty_reports_payload_does_not_pass():
     assert report.reports_payload([])["pass"] is False
 

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from linqm import collapse
+from linqm.collapse import (ABSORPTION_EPS, _RUIN_CHUNK, CollapseConfig,
+                            CollapseSummary, RunTrace, _summarize)
 
 
 def cfg_probs(probs, scheme, runs, seed, **kw):
@@ -184,3 +188,111 @@ def test_nonconverged_reported_not_fatal():
     assert summary.nonconverged == 50
     born = collapse.born_test(summary, cfg.amplitudes)
     assert not born.passed  # nothing terminated, frequencies are empty
+
+
+# ----------------------------------------------------------------------
+# the blocked ruin kernel against the stepwise one, bit for bit
+# ----------------------------------------------------------------------
+def _stepwise_ruin(cfg: CollapseConfig) -> tuple[list[RunTrace], CollapseSummary]:
+    """The ruin walk one step at a time, as it ran before the blocked kernel."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    n, runs = cfg.n, cfg.runs
+    start = np.array([abs(a) ** 2 for a in cfg.amplitudes])
+    w_final = np.tile(start, (runs, 1))
+    absorbed_step = np.full(runs, -1, dtype=np.int64)
+
+    initially_done = w_final.max(axis=1) >= 1.0 - ABSORPTION_EPS
+    absorbed_step[initially_done] = 0
+
+    alive = np.nonzero(~initially_done)[0]
+    w = w_final[alive].copy()
+
+    k_rec = min(cfg.record_traces, runs)
+    rec = [w_final[:k_rec].copy()] if k_rec else []
+
+    step = 0
+    while step < cfg.steps and alive.size:
+        chunk = min(_RUIN_CHUNK, cfg.steps - step)
+        m = alive.size
+        if n == 2:
+            i_sel = np.zeros((chunk, m), dtype=np.int64)
+            j_sel = np.ones((chunk, m), dtype=np.int64)
+        else:
+            i_sel = rng.integers(0, n, size=(chunk, m))
+            j_sel = (i_sel + rng.integers(1, n, size=(chunk, m))) % n
+        signs = rng.choice((-1.0, 1.0), size=(chunk, m))
+        rows = np.arange(m)
+        live = np.ones(m, dtype=bool)  # compaction keeps only live rows
+        for t in range(chunk):
+            step += 1
+            # only columns i != j move, so only they are clipped and tested
+            wi = w[rows, i_sel[t]]
+            wj = w[rows, j_sel[t]]
+            transfer = np.where(live, signs[t] * np.minimum(cfg.dt,
+                                                            np.minimum(wi, wj)), 0.0)
+            wi = np.clip(wi + transfer, 0.0, 1.0)  # shed one-ulp overshoot at vertex hits
+            wj = np.clip(wj - transfer, 0.0, 1.0)
+            w[rows, i_sel[t]] = wi
+            w[rows, j_sel[t]] = wj
+            newly = live & (np.maximum(wi, wj) >= 1.0 - ABSORPTION_EPS)
+            if newly.any():
+                absorbed_step[alive[newly]] = step
+                live &= ~newly
+            if k_rec:
+                traced = alive < k_rec
+                if traced.any():
+                    w_final[alive[traced]] = w[traced]
+                rec.append(w_final[:k_rec].copy())
+        w_final[alive] = w
+        alive = alive[live]
+        w = w[live]
+
+    winners = np.argmax(w_final, axis=1)
+    converged = absorbed_step >= 0
+    path = np.stack(rec, axis=1) if k_rec else None  # (k_rec, recorded_steps, n)
+    traces = [RunTrace(np.sqrt(path[run]), path[run],
+                       int(winners[run]) if converged[run] else None,
+                       int(absorbed_step[run]) if converged[run] else None)
+              for run in range(k_rec)]
+    return traces, _summarize(cfg, winners, converged)
+
+
+@st.composite
+def ruin_configs(draw):
+    """Two to five outcomes, some of zero weight or starting on a vertex;
+    up to 600 runs, so a 256-step chunk splits into sub-blocks, and up to
+    3,000 steps, so runs cross chunk boundaries."""
+    n = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 7, 50, 1000]),
+                            min_size=n, max_size=n).filter(any))
+    runs = draw(st.integers(1, 600) | st.integers(513, 600))
+    steps = draw(st.integers(1, min(3000, 600_000 // runs)))  # bounds trace memory
+    dt = draw(st.sampled_from([0.3, 0.05, 0.02, 0.0137, 0.01]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return CollapseConfig.from_probs(weights, "nonlinear_ruin", runs, seed, dt=dt,
+                                     steps=steps, record_traces=runs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ruin_configs())
+def test_blocked_ruin_matches_stepwise_bit_for_bit(cfg):
+    _assert_same_as_stepwise(cfg)
+
+
+def test_blocked_ruin_matches_stepwise_past_int8_outcome_indices():
+    """70 outcomes: i + offset reaches 138, beyond the int8 range."""
+    _assert_same_as_stepwise(cfg_probs(range(1, 71), "nonlinear_ruin", runs=40, seed=4,
+                                       dt=0.001, steps=600, record_traces=40))
+
+
+def _assert_same_as_stepwise(cfg):
+    traces, summary = collapse._run_ruin(cfg)
+    ref_traces, ref = _stepwise_ruin(cfg)
+    assert summary.winner_counts == ref.winner_counts
+    assert summary.nonconverged == ref.nonconverged
+    assert len(traces) == len(ref_traces) == cfg.runs
+    for got, want in zip(traces, ref_traces):
+        assert got.x.shape == want.x.shape
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.winner == want.winner
+        assert got.absorbed_step == want.absorbed_step

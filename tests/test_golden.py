@@ -8,7 +8,10 @@ cut to the two touched coordinates and trace recording became opt-in; the
 lie and random-eta spacetime digests before the operator kernel moved to
 integer coefficients over one denominator and interned variable ids; the
 repr table digest before the normalized spin matrices moved from a
-float-valued ``RepMatrix`` mode to plain complex entries.
+float-valued ``RepMatrix`` mode to plain complex entries; the three
+four-, two- and three-outcome ruin digests (one with 105 unabsorbed runs,
+one with a zero-weight outcome) before the ruin walk moved from one step
+at a time to cumulative sums over blocks of steps.
 """
 
 import hashlib
@@ -53,6 +56,15 @@ GOLDEN = [
     (["collapse", "run", "--scheme", "linear_noise", "--amps", "0.5,0.5",
       "--runs", "200", "--seed", "3", "--steps", "1000"], 0,
      "6b027c9d1e58a54cf8ff046a5012f0eab6dbb0107043613facbb2d5cafccb828"),
+    (["collapse", "run", "--scheme", "nonlinear_ruin", "--amps", "0.1,0.2,0.3,0.4",
+      "--runs", "400", "--seed", "3", "--steps", "20000"], 0,
+     "bb7a9d4eca1920ffd0964e0569eed9963b2ffda049a32519e494eed10c6787e6"),
+    (["collapse", "run", "--scheme", "nonlinear_ruin", "--amps", "0.15,0.85",
+      "--runs", "500", "--seed", "2", "--dt", "0.05", "--steps", "2000"], 0,
+     "1e3df5fc4dce3c8d2eb0f9b2f4d686215b3787eaecc30a45ec3ac2f3504d05a1"),
+    (["collapse", "run", "--scheme", "nonlinear_ruin", "--amps", "0,0.4,0.6",
+      "--runs", "300", "--seed", "5", "--dt", "0.0137", "--steps", "15000"], 0,
+     "9c0dfb97f344c27075e04d23b947ef121382c7708b7910f89138751dcd9e6292"),
 ]
 
 

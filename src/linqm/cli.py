@@ -16,7 +16,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import branching, collapse, fock, oplib, report, reps
+from . import branching, collapse, fock, linalg, oplib, report, reps
 from .scalar import Scalar
 
 
@@ -62,26 +62,18 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
-def _parse_fraction(text: str) -> Scalar:
-    if "i" in text:
-        raise ValueError("complex constants are not accepted here")
-    return Scalar(Fraction(text))
-
-
-def _parse_eta(path: str) -> list[list[Scalar]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-
-    def cell(x) -> Scalar:
-        if isinstance(x, str):
-            return Scalar(Fraction(x))
-        if isinstance(x, int):
-            return Scalar(Fraction(x))
-        if isinstance(x, list) and len(x) == 2:
-            return Scalar(Fraction(x[0]), Fraction(x[1]))
-        raise ValueError(f"bad eta cell: {x!r}")
-
-    return [[cell(x) for x in row] for row in raw]
+def _exact(x) -> Scalar:
+    """One --x token or --eta cell: an integer, a string Fraction reads
+    ("3", "-2/5", "1.25"), or an [re, im] pair of those."""
+    parts = x if isinstance(x, list) and len(x) == 2 else [x]
+    for p in parts:
+        if isinstance(p, bool) or not isinstance(p, (int, str)):
+            raise ValueError(f"not an exact rational: {p!r} "
+                             "(give an integer or a string such as \"1/3\")")
+    try:
+        return Scalar(*map(Fraction, parts))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 # ----------------------------------------------------------------------
@@ -121,14 +113,18 @@ def cmd_verify_invariance(args) -> int:
 
 def cmd_verify_spacetime(args) -> int:
     if args.eta:
-        eta = _parse_eta(args.eta)
+        with open(args.eta, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        if not (isinstance(raw, list) and all(isinstance(row, list) for row in raw)):
+            raise ValueError(f"{args.eta}: eta must be a JSON list of rows")
+        eta = [[_exact(x) for x in row] for row in raw]
     elif args.random_eta is not None:
         eta = oplib.random_eta(args.n, args.random_eta)
     else:
-        eta = [[Scalar(Fraction(0)) for _ in range(args.n)] for _ in range(args.n)]
+        eta = [[Scalar(0) for _ in range(args.n)] for _ in range(args.n)]
         if args.n >= 2:
-            eta[0][1] = Scalar(Fraction(1))
-            eta[1][0] = Scalar(Fraction(-1))
+            eta[0][1] = Scalar(1)
+            eta[1][0] = Scalar(-1)
     st = oplib.build_spacetime_map(eta, reading=args.reading)
     pset = oplib.translation_generators(
         len(eta), reconstructed=args.reconstructed)
@@ -139,7 +135,7 @@ def cmd_verify_spacetime(args) -> int:
 
 
 def cmd_verify_translation_flow(args) -> int:
-    xs = [_parse_fraction(tok) for tok in args.x.split(",")]
+    xs = [_exact(tok) for tok in args.x.split(",")]
     if len(xs) != 4:
         raise ValueError("--x needs four comma-separated rationals")
     pset = oplib.build_operators(args.set, n=args.n)
@@ -198,7 +194,7 @@ def cmd_repr_homomorphism(args) -> int:
         a = reps.random_su2(rng)
         b = reps.random_su2(rng)
         lhs = reps.rep_of_group_element(b, space) @ reps.rep_of_group_element(a, space)
-        rhs = reps.rep_of_group_element(reps.mat2_mul(b, a), space)
+        rhs = reps.rep_of_group_element(linalg.mat_mul(b, a), space)
         ok = lhs == rhs
         reports_list.append(report.RelationReport(
             suite=f"homomorphism:deg{args.degree}",

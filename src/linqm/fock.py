@@ -125,9 +125,6 @@ class KetSum:
         mine = {k: a * root for k, a in self.terms}
         return mine == dict(other.terms)
 
-    def as_terms(self) -> list[tuple[Scalar, LabeledKet]]:
-        return [(c, k) for k, c in self.terms]
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import linalg
 from .report import RelationReport, relation_report
-from .scalar import I, ONE, ZERO, Scalar, ScalarLike
+from .scalar import I, ONE, ZERO, Scalar, ScalarLike, gaussian
 from .weyl import DiffOp, LinearSub, Var
 
 
@@ -129,7 +128,7 @@ def rotation_generators() -> NamedOperatorSet:
 
 def spin_generators() -> NamedOperatorSet:
     """Spin generators in u, v: each is X + adjoint(X), hermitian by construction."""
-    half = Scalar(Fraction(1, 2))
+    half = gaussian(1, 0, 2)
     ihalf = I * half
     sx = _mono(half, U, V) + _mono(half, V, U)
     sy = _mono(ihalf, V, U) - _mono(ihalf, U, V)
@@ -168,7 +167,7 @@ def _doublet_sum(n: int, build: Callable[[Var, Var, Var, Var], DiffOp]) -> DiffO
 
 def lorentz_generators(n: int = 1) -> NamedOperatorSet:
     """Rotation (J) and boost (K) generators summed over both slots."""
-    h = Scalar(Fraction(1, 2))
+    h = gaussian(1, 0, 2)
     ih = I * h
 
     j1 = _doublet_sum(n, lambda u, v, uc, vc:
@@ -294,7 +293,7 @@ def build_operators(which: str, n: int = 1,
         return poincare_set(n).perturbed("J3", 0, 2)
     if which == "sun":
         taus = tau if tau is not None else [
-            [[x * Scalar(Fraction(1, 2)) for x in row] for row in m]
+            [[x * gaussian(1, 0, 2) for x in row] for row in m]
             for m in pauli_matrices()]
         size = len(taus[0])
         return internal_symmetry_generators(size, taus, sites=max(n, size))
@@ -553,7 +552,7 @@ def random_eta(n: int, seed: int) -> list[list[Scalar]]:
         for k in range(j + 1, n):
             num = rng.randint(-5, 5)
             den = rng.randint(1, 5)
-            val = Scalar(Fraction(num, den), Fraction(rng.randint(-2, 2), den))
+            val = gaussian(num, rng.randint(-2, 2), den)
             eta[j][k] = val
             eta[k][j] = -val
     return eta
@@ -603,7 +602,7 @@ def _flow_series(generator: DiffOp, target: Var, max_order: int = 3) -> tuple[Di
         if term.is_zero:
             return total, order - 1
         factorial *= order
-        total = total + term.scale(Scalar(Fraction(1, factorial)))
+        total = total + term.scale(gaussian(1, 0, factorial))
     raise NonTerminatingFlow(f"series on {target} still alive past order {max_order}")
 
 

@@ -29,7 +29,7 @@ from . import linalg
 from .oplib import (NamedOperatorSet, cyclic_table, spin_generators,
                     verify_commutator_table)
 from .report import RelationReport
-from .scalar import ONE, ZERO, Scalar, ScalarLike
+from .scalar import ONE, ZERO, Scalar, ScalarLike, gaussian
 from .weyl import DiffOp, LinearSub, Var
 
 U = Var("u")
@@ -204,10 +204,9 @@ def substitution_of_matrix(a: Sequence[Sequence[ScalarLike]]) -> LinearSub:
     With this convention composing two group elements multiplies their
     representation matrices in the same order, rep(B A) = rep(B) rep(A).
     """
-    m = [[Scalar.of(x) for x in row] for row in a]
     return LinearSub({
-        U: [(m[0][0], U), (m[1][0], V)],
-        V: [(m[0][1], U), (m[1][1], V)],
+        U: [(a[0][0], U), (a[1][0], V)],
+        V: [(a[0][1], U), (a[1][1], V)],
     })
 
 
@@ -235,11 +234,9 @@ def su2_from_quadruple(p: int, q: int, r: int, s: int) -> list[list[Scalar]]:
     n = p * p + q * q + r * r + s * s
     if n == 0:
         raise ValueError("zero quadruple")
-    a = Fraction(p * p - q * q - r * r - s * s, n)
-    b = Fraction(2 * p * q, n)
-    c = Fraction(2 * p * r, n)
-    d = Fraction(2 * p * s, n)
-    return [[Scalar(a, b), Scalar(c, d)], [Scalar(-c, d), Scalar(a, -b)]]
+    a, b, c, d = p * p - q * q - r * r - s * s, 2 * p * q, 2 * p * r, 2 * p * s
+    return [[gaussian(a, b, n), gaussian(c, d, n)],
+            [gaussian(-c, d, n), gaussian(a, -b, n)]]
 
 
 def random_su2(rng: random.Random) -> list[list[Scalar]]:
@@ -247,11 +244,6 @@ def random_su2(rng: random.Random) -> list[list[Scalar]]:
         quad = tuple(rng.randint(-6, 6) for _ in range(4))
         if any(quad):
             return su2_from_quadruple(*quad)
-
-
-def mat2_mul(a: list[list[Scalar]], b: list[list[Scalar]]) -> list[list[Scalar]]:
-    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)]
-            for i in range(2)]
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +321,7 @@ def verify_pairing_invariance(space: RepSpace,
     basis = space.basis_polys()
     reports = []
     for name, a in elements:
-        sub = substitution_of_matrix([[Scalar.of(x) for x in row] for row in a])
+        sub = substitution_of_matrix(a)
         images = [p.substitute(sub) for p in basis]
         worst = ZERO
         ok = True

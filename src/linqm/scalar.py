@@ -1,111 +1,136 @@
-"""Exact Gaussian-rational scalars: complex numbers with Fraction parts.
+"""Exact Gaussian-rational scalars: (num_re + num_im*i) / den in integers.
 
-All coefficient arithmetic in the operator algebra goes through this class
-so that no rounding ever occurs and operator equality stays decidable.
+A scalar has the form of one ``DiffOp`` term's coefficient: a Gaussian-
+integer numerator over a positive denominator, the three integers coprime.
+``gaussian`` is the one reducing constructor and every operation ends in it,
+so each value has one representation, ``==`` and ``hash`` compare integers,
+and no rounding ever occurs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Union
 
-RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "Scalar"]
 
 
-def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+def gaussian(re: int, im: int, den: int) -> "Scalar":
+    """The scalar (re + im*i) / den, for integers with den > 0."""
+    g = gcd(re, im, den)
+    if g != 1:
+        re, im, den = re // g, im // g, den // g
+    s = object.__new__(Scalar)
+    s.num_re, s.num_im, s.den = re, im, den
+    return s
 
 
-@dataclass(frozen=True)
 class Scalar:
     """A complex number re + im*i with exact rational parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("num_re", "num_im", "den")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
+    def __new__(cls, re: int | Fraction = 0, im: int | Fraction = 0) -> "Scalar":
+        for x in (re, im):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"not an exact rational: {x!r}")
+        den = lcm(re.denominator, im.denominator)
+        return gaussian(re.numerator * (den // re.denominator),
+                        im.numerator * (den // im.denominator), den)
 
     @staticmethod
     def of(value: ScalarLike) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        return Scalar(_frac(value))
+        return Scalar(value)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.num_re, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.num_im, self.den)
 
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: ScalarLike) -> "Scalar":
         o = Scalar.of(other)
-        return Scalar(self.re + o.re, self.im + o.im)
+        return gaussian(self.num_re * o.den + o.num_re * self.den,
+                        self.num_im * o.den + o.num_im * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
         o = Scalar.of(other)
-        return Scalar(self.re - o.re, self.im - o.im)
+        return gaussian(self.num_re * o.den - o.num_re * self.den,
+                        self.num_im * o.den - o.num_im * self.den, self.den * o.den)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
         return Scalar.of(other) - self
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return gaussian(-self.num_re, -self.num_im, self.den)
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
         o = Scalar.of(other)
-        return Scalar(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
+        a, b, c, d = self.num_re, self.num_im, o.num_re, o.num_im
+        return gaussian(a * c - b * d, a * d + b * c, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
         o = Scalar.of(other)
-        n2 = o.re * o.re + o.im * o.im
+        a, b, c, d = self.num_re, self.num_im, o.num_re, o.num_im
+        n2 = c * c + d * d
         if n2 == 0:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar((self.re * o.re + self.im * o.im) / n2,
-                      (self.im * o.re - self.re * o.im) / n2)
+        return gaussian((a * c + b * d) * o.den, (b * c - a * d) * o.den, self.den * n2)
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
         return Scalar.of(other) / self
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return gaussian(self.num_re, -self.num_im, self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return (self.num_re == other.num_re and self.num_im == other.num_im
+                and self.den == other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.num_re, self.num_im, self.den))
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.num_re or self.num_im)
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.num_re / self.den, self.num_im / self.den)
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        im = "i" if self.im == 1 else ("-i" if self.im == -1 else f"{self.im}i")
-        if self.re == 0:
-            return im
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{im}"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        im_s = "i" if im == 1 else ("-i" if im == -1 else f"{im}i")
+        if re == 0:
+            return im_s
+        sign = "+" if im > 0 else ""
+        return f"{re}{sign}{im_s}"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
 
 
 ZERO = Scalar()
-ONE = Scalar(Fraction(1))
-I = Scalar(Fraction(0), Fraction(1))
+ONE = Scalar(1)
+I = Scalar(0, 1)
 
 
 def rational_sqrt(f: Fraction) -> Fraction | None:

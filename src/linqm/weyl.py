@@ -13,15 +13,17 @@ A polynomial is simply an operator whose terms carry no derivatives.
 
 Internal form: an operator is one positive integer denominator plus a dict
 that maps each term key to the integer pair (re, im), the Gaussian-integer
-numerator of that term's coefficient.  The form is canonical -- zero terms
-are dropped and the gcd of the denominator and every numerator part is 1 --
-so operator equality is a plain comparison.  A term key is (mults, derivs),
-each half a tuple of (variable id, power >= 1) sorted by id.  Ids are small
-integers from a private intern table that is only ever appended to, so all
-ring operations are integer work.  Ids never reach the outside: ``terms``,
-``term_items``, ``coefficient``, ``variables`` and ``render`` convert back to
-``Scalar`` coefficients and ``Var`` factors ordered by ``Var.key``, so the
-order in which variables were first met cannot change any answer.
+numerator of that term's coefficient.  This is ``Scalar``'s own form with
+the denominator shared, so coefficients pass in and out through ``num_re``,
+``num_im``, ``den`` and ``gaussian`` with no conversion.  The form is
+canonical -- zero terms are dropped and the gcd of the denominator and every
+numerator part is 1 -- so operator equality is a plain comparison.  A term
+key is (mults, derivs), each half a tuple of (variable id, power >= 1)
+sorted by id.  Ids are small integers from a private intern table that is
+only ever appended to, so all ring operations are integer work.  Ids never
+reach the outside: ``terms``, ``term_items``, ``coefficient``, ``variables``
+and ``render`` return ``Var`` factors ordered by ``Var.key``, so the order
+in which variables were first met cannot change any answer.
 
 Text form (documented in docs/operator-text-format.md): a sum of terms
 ``(coeff)*var^k*...*d[var]^m*...`` where a variable prints as its family
@@ -33,12 +35,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from . import linalg
-from .scalar import ONE, ZERO, Scalar, ScalarLike
+from .scalar import ONE, ZERO, Scalar, ScalarLike, gaussian
 
 MAX_EXPONENT = 1 << 20
 
@@ -113,7 +114,7 @@ Powers = tuple[tuple[int, int], ...]
 Key = tuple[Powers, Powers]
 Numerators = dict[Key, tuple[int, int]]
 
-OpLike = Union["DiffOp", Scalar, int, Fraction]
+OpLike = Union["DiffOp", ScalarLike]
 
 # The intern table: id -> Var, Var -> id, and id -> id of the conjugate.  A
 # variable and its conjugate are interned together.  It is only ever
@@ -185,18 +186,6 @@ def _conj(powers: Powers) -> Powers:
     return _powers({_CONJ[i]: p for i, p in powers})
 
 
-def _gauss(c: ScalarLike) -> tuple[int, int, int]:
-    """(re, im, den) with c = (re + im*i) / den and den > 0."""
-    s = Scalar.of(c)
-    den = lcm(s.re.denominator, s.im.denominator)
-    return (s.re.numerator * (den // s.re.denominator),
-            s.im.numerator * (den // s.im.denominator), den)
-
-
-def _scalar(num: tuple[int, int], den: int) -> Scalar:
-    return Scalar(Fraction(num[0], den), Fraction(num[1], den))
-
-
 def _make(den: int, acc: Numerators) -> "DiffOp":
     """The canonical operator with coefficients acc[key] / den."""
     num = {k: c for k, c in acc.items() if c[0] or c[1]}
@@ -263,8 +252,8 @@ class DiffOp:
     @staticmethod
     def term(coeff: ScalarLike, mults: Iterable[tuple[Var, int]] = (),
              derivs: Iterable[tuple[Var, int]] = ()) -> "DiffOp":
-        re, im, den = _gauss(coeff)
-        return _make(den, {(_ids(mults), _ids(derivs)): (re, im)})
+        c = Scalar.of(coeff)
+        return _make(c.den, {(_ids(mults), _ids(derivs)): (c.num_re, c.num_im)})
 
     @staticmethod
     def sum(ops: Iterable["DiffOp"]) -> "DiffOp":
@@ -290,19 +279,19 @@ class DiffOp:
 
     def terms(self) -> list[tuple[Scalar, Mults, Mults]]:
         """Terms in canonical order."""
-        return sorted(((_scalar(c, self._den), _vars(m), _vars(d))
-                       for (m, d), c in self._num.items()), key=_term_sort_key)
+        return sorted(((gaussian(re, im, self._den), _vars(m), _vars(d))
+                       for (m, d), (re, im) in self._num.items()), key=_term_sort_key)
 
     def n_terms(self) -> int:
         return len(self._num)
 
     def term_items(self) -> list[tuple[TermKey, Scalar]]:
         """(key, coefficient) pairs; order is not canonical."""
-        return [((_vars(m), _vars(d)), _scalar(c, self._den))
-                for (m, d), c in self._num.items()]
+        return [((_vars(m), _vars(d)), gaussian(re, im, self._den))
+                for (m, d), (re, im) in self._num.items()]
 
     def coefficient(self, mults: Mults, derivs: Mults) -> Scalar:
-        return _scalar(self._num.get((_ids(mults), _ids(derivs)), (0, 0)), self._den)
+        return gaussian(*self._num.get((_ids(mults), _ids(derivs)), (0, 0)), self._den)
 
     def variables(self) -> set[Var]:
         return {_VARS[i] for mults, derivs in self._num for i, _ in mults + derivs}
@@ -335,8 +324,9 @@ class DiffOp:
         return _make(self._den, {k: (-re, -im) for k, (re, im) in self._num.items()})
 
     def scale(self, c: ScalarLike) -> "DiffOp":
-        p, q, den = _gauss(c)
-        return _make(self._den * den, {k: (re * p - im * q, re * q + im * p)
+        c = Scalar.of(c)
+        p, q = c.num_re, c.num_im
+        return _make(self._den * c.den, {k: (re * p - im * q, re * q + im * p)
                                        for k, (re, im) in self._num.items()})
 
     def __mul__(self, other: OpLike) -> "DiffOp":
@@ -358,7 +348,7 @@ class DiffOp:
         return self.scale(other)
 
     def __truediv__(self, c: ScalarLike) -> "DiffOp":
-        return self.scale(ONE / Scalar.of(c))
+        return self.scale(ONE / c)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         return self * other - other * self

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from linqm import branching, cli, collapse, fock, oplib, reps
+from linqm import branching, cli, collapse, fock, linalg, oplib, reps
 from linqm.report import all_passed
 from linqm.scalar import I, ONE, ZERO, Scalar
 from linqm.weyl import DiffOp, Var
@@ -84,7 +84,7 @@ def test_c05_group_multiplication_rule():
                 a, b = reps.random_su2(rng), reps.random_su2(rng)
                 lhs = (reps.rep_of_group_element(b, space)
                        @ reps.rep_of_group_element(a, space))
-                assert lhs == reps.rep_of_group_element(reps.mat2_mul(b, a), space)
+                assert lhs == reps.rep_of_group_element(linalg.mat_mul(b, a), space)
 
 
 def test_c06_casimir_spectrum():

@@ -166,6 +166,28 @@ def test_collapse_run_bad_input_exits_one(extra, tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("matrix", [
+    [[0, [0.1, 0]], [[-0.1, 0], 0]],
+    [[0, True], [-1, 0]],
+    [[0, "1/0"], ["-1", 0]],
+    [1, 2],
+], ids=["float-in-pair", "json-true", "zero-denominator", "not-a-matrix"])
+def test_spacetime_eta_rejects_inexact_cells(matrix, tmp_path, capsys):
+    eta = tmp_path / "eta.json"
+    eta.write_text(json.dumps(matrix))
+    code, out, err = run_cli(["verify", "spacetime", "--eta", str(eta)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("linqm: error: ")
+
+
+def test_translation_flow_rejects_zero_denominator(capsys):
+    code, out, err = run_cli(["verify", "translation-flow", "--x=1/0,0,0,0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("linqm: error: ")
+
+
 def test_report_rerender(tmp_path, capsys):
     out_file = tmp_path / "rep.json"
     run_cli(["verify", "lie", "--set", "su2", "--out", str(out_file)], capsys)

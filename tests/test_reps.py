@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from linqm import oplib, reps
+from linqm import linalg, oplib, reps
 from linqm.report import all_passed
 from linqm.scalar import ONE, Scalar
 from linqm.weyl import DiffOp, Var
@@ -192,7 +192,7 @@ def test_group_multiplication_rule_exact(degree):
         a = reps.random_su2(rng)
         b = reps.random_su2(rng)
         lhs = reps.rep_of_group_element(b, space) @ reps.rep_of_group_element(a, space)
-        rhs = reps.rep_of_group_element(reps.mat2_mul(b, a), space)
+        rhs = reps.rep_of_group_element(linalg.mat_mul(b, a), space)
         assert lhs == rhs
 
 

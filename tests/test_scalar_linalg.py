@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linqm import linalg
 from linqm.scalar import I, ONE, ZERO, Scalar, rational_sqrt
@@ -34,6 +37,68 @@ def test_str_forms():
     assert str(-I) == "-i"
     assert str(Scalar(Fraction(1), Fraction(-2))) == "1-2i"
     assert str(ZERO) == "0"
+
+
+def _reference_str(re: Fraction, im: Fraction) -> str:
+    """The renderer of the Fraction-backed Scalar, kept as the oracle."""
+    if im == 0:
+        return str(re)
+    im_s = "i" if im == 1 else ("-i" if im == -1 else f"{im}i")
+    if re == 0:
+        return im_s
+    sign = "+" if im > 0 else ""
+    return f"{re}{sign}{im_s}"
+
+
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12)),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**30)),
+)
+parts = st.tuples(rationals, rationals)
+
+
+def _assert_is(s: Scalar, re: Fraction, im: Fraction) -> None:
+    """s is the canonical scalar re + im*i: parts, form, equality, hash, text."""
+    assert (s.re, s.im) == (re, im)
+    assert s.den > 0 and gcd(s.num_re, s.num_im, s.den) == 1
+    same = Scalar(re, im)
+    assert s == same and hash(s) == hash(same)
+    assert str(s) == _reference_str(re, im)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts, parts, rationals)
+def test_ring_matches_fraction_arithmetic(x, y, q):
+    (ar, ai), (br, bi) = x, y
+    a, b = Scalar(ar, ai), Scalar(br, bi)
+    _assert_is(a, ar, ai)
+    _assert_is(a + b, ar + br, ai + bi)
+    _assert_is(a - b, ar - br, ai - bi)
+    _assert_is(a * b, ar * br - ai * bi, ar * bi + ai * br)
+    _assert_is(-a, -ar, -ai)
+    _assert_is(a.conjugate(), ar, -ai)
+    _assert_is(q + a, q + ar, ai)
+    _assert_is(q - a, q - ar, -ai)
+    _assert_is(a * q, ar * q, ai * q)
+    n2 = br * br + bi * bi
+    if n2 == 0:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        _assert_is(a / b, (ar * br + ai * bi) / n2, (ai * br - ar * bi) / n2)
+        _assert_is(q / b, q * br / n2, -q * bi / n2)
+        assert (a * b) / b == a and hash((a * b) / b) == hash(a)
+    assert (a == b) == ((ar, ai) == (br, bi))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1j, None])
+def test_scalar_takes_only_exact_rationals(bad):
+    with pytest.raises(TypeError):
+        Scalar(bad)
+    with pytest.raises(TypeError):
+        Scalar(1, bad)
 
 
 def test_rational_sqrt():

@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -131,7 +132,7 @@ def apply_rule(state: StateVector, rule: Rule) -> StateVector:
             continue
         children = rule.effect(view)
         weight_norm = sum(abs(w) ** 2 for w, _ in children)
-        if not rule.non_unitary and abs(weight_norm - 1.0) > NORM_TOL:
+        if not rule.non_unitary and not abs(weight_norm - 1.0) <= NORM_TOL:
             raise NonUnitaryRule(
                 f"rule {rule.name!r} split norm is {weight_norm!r}")
         for weight, rewrite in children:
@@ -152,28 +153,29 @@ def apply_rules(state: StateVector, rules: Iterable[Rule]) -> StateVector:
 # ----------------------------------------------------------------------
 # scenarios
 # ----------------------------------------------------------------------
-def _as_amp_pair(params: Mapping) -> tuple[complex, complex]:
-    amps = params.get("amps")
-    if amps is None:
-        r = 1 / math.sqrt(2)
-        return complex(r), complex(r)
-    if len(amps) != 2:
-        raise BadParams("mirror scenarios need exactly two amplitudes")
-    a, b = complex(amps[0]), complex(amps[1])
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > NORM_TOL:
-        raise BadParams("amplitudes must have unit norm")
-    return a, b
+def parse_weight(w) -> complex:
+    """One scenario amplitude or weight: a finite number (a Python complex
+    included) or an [re, im] pair of finite real numbers."""
+    pair = isinstance(w, (list, tuple)) and len(w) == 2
+    kind = numbers.Real if pair else numbers.Number
+    parts = w if pair else [w]
+    if all(isinstance(p, kind) and not isinstance(p, bool) for p in parts):
+        value = complex(*parts)
+        if cmath.isfinite(value):
+            return value
+    raise BadParams(f"weight {w!r} is not a finite number or [re, im] pair")
 
 
-def _grain_weights(params: Mapping, n: int) -> list[complex]:
-    weights = params.get("weights")
+def _unit_weights(params: Mapping, key: str, n: int) -> list[complex]:
+    """The n weights under ``key`` (uniform when absent), of unit norm."""
+    weights = params.get(key)
     if weights is None:
         return [complex(1 / math.sqrt(n))] * n
-    if len(weights) != n:
-        raise BadParams("weight count must match grain count")
-    ws = [complex(w) for w in weights]
-    if abs(sum(abs(w) ** 2 for w in ws) - 1.0) > NORM_TOL:
-        raise BadParams("grain weights must have unit norm")
+    if not isinstance(weights, (list, tuple)) or len(weights) != n:
+        raise BadParams(f"{key!r} must list {n} weights")
+    ws = [parse_weight(w) for w in weights]
+    if not abs(sum(abs(w) ** 2 for w in ws) - 1.0) <= NORM_TOL:
+        raise BadParams(f"{key!r} must have unit norm")
     return ws
 
 
@@ -229,7 +231,7 @@ def _report(suite: str, relation: str, ok: bool, detail: str = "") -> RelationRe
 
 def run_mirror(params: Mapping, second_observer: bool = False
                ) -> tuple[StateVector, list[RelationReport]]:
-    amp_h, amp_v = _as_amp_pair(params)
+    amp_h, amp_v = _unit_weights(params, "amps", 2)
     state = apply_rules(_mirror_initial(second_observer),
                         mirror_rules(amp_h, amp_v, second_observer))
     suite = "branching:two_observers" if second_observer else "branching:mirror"
@@ -259,7 +261,7 @@ def run_grains(params: Mapping) -> tuple[StateVector, list[RelationReport]]:
     n = int(params.get("n", 8))
     if n < 1:
         raise BadParams("need at least one grain")
-    weights = _grain_weights(params, n)
+    weights = _unit_weights(params, "weights", n)
     grain_keys = [f"grain-{j}" for j in range(1, n + 1)]
     records = {"electron": "incoming", "Obs": ""}
     records.update({k: "unexposed" for k in grain_keys})
@@ -311,7 +313,7 @@ def run_trajectory(params: Mapping) -> tuple[StateVector, list[RelationReport]]:
         raise BadParams("need at least one layer and one grain per layer")
     if hop not in (0, 1):
         raise BadParams("lateral hop is at most one lane")
-    weights = _grain_weights(params, n)
+    weights = _unit_weights(params, "weights", n)
 
     keys = {(layer, lane): f"grain[{layer},{lane}]"
             for layer in range(1, layers + 1) for lane in range(1, n + 1)}
@@ -395,8 +397,8 @@ def rule_from_spec(doc: Mapping) -> Rule:
     """Build an amplitude-blind rule from its JSON form.
 
     The guard is an equality conjunction over records; the effect is a
-    static list of {weight, set} children.  Weights may be numbers or
-    [re, im] pairs.
+    static list of {weight, set} children; ``parse_weight`` reads each
+    weight.
     """
     try:
         name = doc["name"]
@@ -410,10 +412,8 @@ def rule_from_spec(doc: Mapping) -> Rule:
 
     children: Effect = []
     for child in effect_spec:
-        w = child.get("weight", 1.0)
-        weight = complex(w[0], w[1]) if isinstance(w, (list, tuple)) else complex(w)
-        children.append((weight, {str(k): str(v)
-                                  for k, v in (child.get("set") or {}).items()}))
+        rewrite = {str(k): str(v) for k, v in (child.get("set") or {}).items()}
+        children.append((parse_weight(child.get("weight", 1.0)), rewrite))
     return Rule(name, guard=guard, effect=static_effect(children),
                 non_unitary=bool(doc.get("non_unitary", False)))
 

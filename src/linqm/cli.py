@@ -64,12 +64,15 @@ def _nonnegative_int(text: str) -> int:
 
 def _exact(x) -> Scalar:
     """One --x token or --eta cell: an integer, a string Fraction reads
-    ("3", "-2/5", "1.25"), or an [re, im] pair of those."""
+    ("3", "-2/5", "1.25"), or an [re, im] pair of those.  Exponents are
+    refused before Fraction sees them: it would build 10**exp exactly."""
     parts = x if isinstance(x, list) and len(x) == 2 else [x]
     for p in parts:
         if isinstance(p, bool) or not isinstance(p, (int, str)):
             raise ValueError(f"not an exact rational: {p!r} "
                              "(give an integer or a string such as \"1/3\")")
+        if isinstance(p, str) and "e" in p.lower():
+            raise ValueError(f"exponent notation is not accepted: {p!r}")
     try:
         return Scalar(*map(Fraction, parts))
     except ZeroDivisionError:
@@ -237,10 +240,6 @@ def cmd_sim_branch(args) -> int:
     for key in ("rules", "initial"):
         if key in doc and key not in params:
             params[key] = doc[key]
-    for key in ("amps", "weights"):
-        if key in params and params[key] is not None:
-            params[key] = [complex(c[0], c[1]) if isinstance(c, list) else complex(c)
-                           for c in params[key]]
     state, reports_list = branching.run_scenario(name, params)
     extra = {"scenario": name, "branches": branching.ledger_payload(state)}
     return _emit(reports_list, _resolve_out(args.out), args.format, extra)

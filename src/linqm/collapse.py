@@ -369,7 +369,7 @@ def run_scheme(cfg: CollapseConfig) -> tuple[list[RunTrace], CollapseSummary]:
 class BornReport:
     frequencies: list[float]
     targets: list[float]
-    chi2: float
+    chi2: float | None  # None when no run absorbed
     p_value: float
     passed: bool
 
@@ -389,7 +389,7 @@ def born_test(summary: CollapseSummary,
     done = sum(summary.winner_counts)
     freqs = summary.frequencies
     if done == 0:
-        return BornReport(freqs, targets, float("inf"), 0.0, False)
+        return BornReport(freqs, targets, None, 0.0, False)
     chi2 = 0.0
     dof = 0
     impossible_hit = False

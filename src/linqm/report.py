@@ -82,7 +82,7 @@ def reports_payload(reports: Iterable[RelationReport], **extra) -> dict:
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def render_text(reports: Iterable[RelationReport]) -> str:
@@ -101,5 +101,6 @@ def render_text(reports: Iterable[RelationReport]) -> str:
 
 
 def write_report(path: str, payload: dict) -> None:
+    text = render_json(payload)  # before opening: a refused value leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_json(payload))
+        fh.write(text)

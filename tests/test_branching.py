@@ -128,6 +128,32 @@ def test_bad_params():
         branching.run_scenario("mirror", {"amps": [1.0, 1.0]})
 
 
+@pytest.mark.parametrize("raw,value", [
+    (1, 1 + 0j), (0.6, 0.6 + 0j), (0.8j, 0.8j), ([0.6, 0.8], 0.6 + 0.8j),
+    ((0, -1), -1j),
+])
+def test_parse_weight_accepted_forms(raw, value):
+    parsed = branching.parse_weight(raw)
+    assert type(parsed) is complex and parsed == value
+
+
+@pytest.mark.parametrize("raw", [
+    True, "0.5", None, [0.6], [0.6, 0, 5], [0.6, "0"], [True, 0], [0.6j, 0],
+    float("nan"), float("inf"), complex(0, float("nan")), [0.6, float("-inf")],
+])
+def test_parse_weight_refuses_other_forms(raw):
+    with pytest.raises(branching.BadParams):
+        branching.parse_weight(raw)
+
+
+def test_nan_weight_fails_the_unitarity_check():
+    state = branching.StateVector([branching.Branch(1.0, {"a": "x"})])
+    rule = branching.Rule("nan", guard=lambda rec: True,
+                          effect=branching.static_effect([(float("nan"), {})]))
+    with pytest.raises(branching.NonUnitaryRule):
+        branching.apply_rule(state, rule)
+
+
 def test_custom_scenario_from_rule_specs():
     params = {
         "initial": {"coin": "up", "obs": ""},

@@ -138,6 +138,54 @@ def test_sim_branch_with_complex_amps(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("doc", [
+    {"scenario": "mirror", "params": {"amps": [[0.6, 0, 5], 0.8]}},
+    {"scenario": "custom", "params": {"initial": {"coin": "up"}},
+     "rules": [{"name": "flip", "effect": [{"weight": float("nan"),
+                                            "set": {"coin": "down"}}]}]},
+], ids=["three-part-amp", "nan-rule-weight"])
+def test_sim_branch_rejects_bad_weights(doc, tmp_path, capsys):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))  # the NaN is written as the token NaN
+    code, out, err = run_cli(["sim", "branch", str(scenario)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("linqm: error: ")
+
+
+def test_collapse_run_with_no_absorbed_run_writes_strict_json(tmp_path, capsys):
+    out_file = tmp_path / "none.json"
+    code, out, _ = run_cli(["collapse", "run", "--scheme", "nonlinear_ruin",
+                            "--amps", "0.3,0.7", "--runs", "10", "--seed", "1",
+                            "--steps", "1", "--out", str(out_file)], capsys)
+    assert code == 2
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    for text in (out, out_file.read_text()):
+        payload = json.loads(text, parse_constant=refuse)
+        assert payload["chi2"] is None
+        assert payload["nonconverged_count"] == 10
+        assert payload["pass"] is False
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_overflowing_amplitude_writes_no_report(fmt, tmp_path, capsys):
+    scenario, out_file = tmp_path / "boost.json", tmp_path / "boost-report.json"
+    scenario.write_text(json.dumps({
+        "scenario": "custom", "params": {"initial": {"a": "x"}},
+        "rules": [{"name": f"boost-{k}", "non_unitary": True,
+                   "effect": [{"weight": 1e150, "set": {"a": str(k)}}]}
+                  for k in range(3)]}))
+    code, out, err = run_cli(["sim", "branch", str(scenario), "--format", fmt,
+                              "--out", str(out_file)], capsys)
+    assert code == 1
+    assert "Infinity" not in out
+    assert err.startswith("linqm: error: ")
+    assert not out_file.exists()
+
+
 def test_collapse_run_cli(tmp_path, capsys):
     out_file = tmp_path / "ruin.json"
     code, _, _ = run_cli(["collapse", "run", "--scheme", "nonlinear_ruin",
@@ -171,7 +219,8 @@ def test_collapse_run_bad_input_exits_one(extra, tmp_path, capsys):
     [[0, True], [-1, 0]],
     [[0, "1/0"], ["-1", 0]],
     [1, 2],
-], ids=["float-in-pair", "json-true", "zero-denominator", "not-a-matrix"])
+    [[0, "1e5"], ["-1e5", 0]],
+], ids=["float-in-pair", "json-true", "zero-denominator", "not-a-matrix", "exponent"])
 def test_spacetime_eta_rejects_inexact_cells(matrix, tmp_path, capsys):
     eta = tmp_path / "eta.json"
     eta.write_text(json.dumps(matrix))
@@ -186,6 +235,14 @@ def test_translation_flow_rejects_zero_denominator(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("linqm: error: ")
+
+
+@pytest.mark.parametrize("x", ["1e5,0,0,0", "0,0,2E-3,0"])
+def test_translation_flow_rejects_exponents(x, capsys):
+    code, out, err = run_cli(["verify", "translation-flow", f"--x={x}"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "exponent" in err
 
 
 def test_report_rerender(tmp_path, capsys):
@@ -223,14 +280,16 @@ def test_empty_reports_payload_does_not_pass():
 
 
 def test_cli_import_does_not_load_scipy_stats():
-    """scipy.stats would take most of each command's start-up time."""
+    """scipy.stats would take most of each command's start-up time, and
+    scipy.sparse is not needed: ladder operators are signed permutations."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = "import sys, linqm.cli; print('scipy.stats' in sys.modules)"
+    probe = ("import sys, linqm.cli; "
+             "print('scipy.stats' in sys.modules, 'scipy.sparse' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, timeout=120, check=True)
-    assert result.stdout.split() == ["False"]
+    assert result.stdout.split() == ["False", "False"]
 
 
 def test_report_dir_env(tmp_path, capsys, monkeypatch):

@@ -109,8 +109,9 @@ def test_car_relations_exact(modes):
     assert all_passed(reports)
 
 
-def test_sign_broken_convention_detected():
-    assert not all_passed(fock.verify_car(2, sign_flip=True))
+def test_sign_broken_convention_detected(monkeypatch):
+    monkeypatch.setattr(fock, "_parity_below", lambda bits, mode: 1)
+    assert not all_passed(fock.verify_car(2))
 
 
 def test_printed_variant_recorded_not_gating():
@@ -124,8 +125,42 @@ def test_printed_variant_recorded_not_gating():
     assert not any(r.passed for r in off)
 
 
+def dense_ladder(modes, which, mode):
+    """Reference: the ladder operator as a dense matrix, entry by entry."""
+    dim = 1 << modes
+    mat = np.zeros((dim, dim), dtype=np.int64)
+    for bits in range(dim):
+        moved = fock.apply_ladder(fock.FockState(modes, bits), which, mode)
+        if moved is not None:
+            mat[moved[1].bits, bits] = moved[0]
+    return mat
+
+
+def as_dense(signed):
+    dim = len(signed.target)
+    mat = np.zeros((dim, dim), dtype=np.int64)
+    mat[signed.target, np.arange(dim)] = signed.sign
+    return mat
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_signed_maps_match_dense_matrices(modes):
+    dim = 1 << modes
+    kinds = [(which, m) for which in ("create", "annihilate") for m in range(modes)]
+    ops = {k: fock.ladder_matrix(modes, *k) for k in kinds}
+    minus_identity = fock.SignedMap(np.arange(dim), np.full(dim, -1))
+    for k in kinds:
+        assert np.array_equal(as_dense(ops[k]), dense_ladder(modes, *k))
+    for x, y in itertools.product(kinds, repeat=2):
+        xy, yx = ops[x] @ ops[y], ops[y] @ ops[x]
+        assert np.array_equal(as_dense(xy), as_dense(ops[x]) @ as_dense(ops[y]))
+        for maps in ([xy, yx], [xy, yx, minus_identity]):
+            total = sum(as_dense(m) for m in maps)
+            assert np.array_equal(fock._nonzero_entries(maps), total[total != 0])
+
+
 def test_number_operator_counts_occupation():
-    n = fock.number_operator(4).toarray()
+    n = fock.number_operator(4)
     occ = [fock.FockState(4, b).occupation() for b in range(16)]
     assert np.array_equal(np.diag(n), np.array(occ))
     assert np.count_nonzero(n - np.diag(np.diag(n))) == 0

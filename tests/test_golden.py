@@ -11,7 +11,9 @@ repr table digest before the normalized spin matrices moved from a
 float-valued ``RepMatrix`` mode to plain complex entries; the three
 four-, two- and three-outcome ruin digests (one with 105 unabsorbed runs,
 one with a zero-weight outcome) before the ruin walk moved from one step
-at a time to cumulative sums over blocks of steps.
+at a time to cumulative sums over blocks of steps; the ``fock car`` digests
+before the ladder operators moved from ``scipy.sparse`` matrices to signed
+partial permutations.
 """
 
 import hashlib
@@ -66,6 +68,62 @@ GOLDEN = [
       "--runs", "300", "--seed", "5", "--dt", "0.0137", "--steps", "15000"], 0,
      "9c0dfb97f344c27075e04d23b947ef121382c7708b7910f89138751dcd9e6292"),
 ]
+
+# fock car --modes M [--printed-variant] for M = 1..6:
+# (modes, format, printed variant, exit code, digest).
+FOCK_CAR = [
+    (1, "text", False, 0,
+     "408d30afbc36aad45176a21400945f816e4dd612a2fc6e76e26b4e1d967871b0"),
+    (1, "text", True, 0,
+     "25caf32a0b3f724ff295787bab3cfdaf796d40a222dda76e0602f41bc7083d5f"),
+    (1, "json", False, 0,
+     "f2676887952f62b856b9b7d564647760316d121fb4de74ada7dbd5798e052a0a"),
+    (1, "json", True, 0,
+     "9c96a6143e7b4c86a405ac69f7ec30d2280cba3258a28c7adc493ddabbbce736"),
+    (2, "text", False, 0,
+     "d7f3b607d2640b7334d56fc42a1efe5be737dfa1c9fda51c337b95da1fc06599"),
+    (2, "text", True, 2,
+     "4476de28fb8441bf268e59f3d9b3aaacf26e3556e0657a2d037f69927c5260a7"),
+    (2, "json", False, 0,
+     "27e48403e4e099d069931bfbbe8919b47346742380608791d41e4ff5fefe53a3"),
+    (2, "json", True, 2,
+     "4710558279310355debf2becb2201ffe819eb1dbe86b7a593b1a199f81f3f317"),
+    (3, "text", False, 0,
+     "18a04395acf15c36400e158bf0382f5f38ae5c5688ece7139983c66d3308cd5b"),
+    (3, "text", True, 2,
+     "50b943cf0c9893a51eb0ba2f74f37773d7fce4a4e5c3f634397174d76445315c"),
+    (3, "json", False, 0,
+     "874d51b21b4ef2a17dee9fce3643954031d4d8a441445beb0ad4771d8dda5e47"),
+    (3, "json", True, 2,
+     "695cbda4c957dafcd9c6f2b2e6c769bc24dd011d50f785f013d2c979b95117d2"),
+    (4, "text", False, 0,
+     "95956d3393d6629600c3accf693e7baaf14fbdf0cb182b2e0715ccfffe5205bf"),
+    (4, "text", True, 2,
+     "b3790180b12aa1a3e08fbdbbf97e273a9fc0fda29d28e5d5b3bcec44ea59936f"),
+    (4, "json", False, 0,
+     "d6668523b9c1371a362d129fc5436f9d6f55c9a49a23e92894993174bb4150f4"),
+    (4, "json", True, 2,
+     "4a917874e027f65b74dce3b152811cf8535dd9aff57f2796ad567d08a501a904"),
+    (5, "text", False, 0,
+     "2fbdeb8dfd4a4fec69e34aa70d40dbd27f17d16421892a07ebdad27131307bc0"),
+    (5, "text", True, 2,
+     "f8bedd4fd74dda9f32a128acaa30c9bcc3545b39271a471f2080054fbe88d460"),
+    (5, "json", False, 0,
+     "67467b0ae53bc5f3be1d79d825142d49d3cd07c737f9d9d601aab34360d7ca3a"),
+    (5, "json", True, 2,
+     "9d01f3f7852245035da3d3fa3c197a498ad04cc02e61e282f929c15d6bc664a5"),
+    (6, "text", False, 0,
+     "8936aec403f13563b8ba4c48d5855325e377abb21c518719f3038b7c11f391f0"),
+    (6, "text", True, 2,
+     "b655914b001aaa5ee03f503346aeeb2635a9f741602176aaa7065455e8190aef"),
+    (6, "json", False, 0,
+     "61b95ceebbffd5a5cedd3cb9feb5e5afb0d8bc22e261397b872757242bda29c7"),
+    (6, "json", True, 2,
+     "7d0a298a93b03208408ffb9f5eb623ca07104f560c5b41e9d098d9398d49a6ac"),
+]
+GOLDEN += [(["fock", "car", "--modes", str(m), "--format", fmt]
+           + (["--printed-variant"] if variant else []), code, digest)
+           for m, fmt, variant, code, digest in FOCK_CAR]
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])

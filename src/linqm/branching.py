@@ -154,16 +154,28 @@ def apply_rules(state: StateVector, rules: Iterable[Rule]) -> StateVector:
 # scenarios
 # ----------------------------------------------------------------------
 def parse_weight(w) -> complex:
-    """One scenario amplitude or weight: a finite number (a Python complex
-    included) or an [re, im] pair of finite real numbers."""
+    """One scenario amplitude or weight: a number (a Python complex
+    included) or an [re, im] pair of real numbers, whose |w|^2 is a finite
+    float, so that every norm sum can square it."""
     pair = isinstance(w, (list, tuple)) and len(w) == 2
     kind = numbers.Real if pair else numbers.Number
     parts = w if pair else [w]
     if all(isinstance(p, kind) and not isinstance(p, bool) for p in parts):
         value = complex(*parts)
-        if cmath.isfinite(value):
-            return value
-    raise BadParams(f"weight {w!r} is not a finite number or [re, im] pair")
+        try:
+            if math.isfinite(abs(value) ** 2):
+                return value
+        except OverflowError:
+            pass
+    raise BadParams(f"weight {w!r} is not a number or [re, im] pair "
+                    "with finite |w|^2")
+
+
+def _int_param(params: Mapping, key: str, default: int) -> int:
+    value = params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadParams(f"{key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _unit_weights(params: Mapping, key: str, n: int) -> list[complex]:
@@ -258,7 +270,7 @@ def run_mirror(params: Mapping, second_observer: bool = False
 
 
 def run_grains(params: Mapping) -> tuple[StateVector, list[RelationReport]]:
-    n = int(params.get("n", 8))
+    n = _int_param(params, "n", 8)
     if n < 1:
         raise BadParams("need at least one grain")
     weights = _unit_weights(params, "weights", n)
@@ -306,9 +318,9 @@ def run_grains(params: Mapping) -> tuple[StateVector, list[RelationReport]]:
 
 
 def run_trajectory(params: Mapping) -> tuple[StateVector, list[RelationReport]]:
-    n = int(params.get("n", 8))
-    layers = int(params.get("layers", 3))
-    hop = int(params.get("hop", 0))
+    n = _int_param(params, "n", 8)
+    layers = _int_param(params, "layers", 3)
+    hop = _int_param(params, "hop", 0)
     if layers < 1 or n < 1:
         raise BadParams("need at least one layer and one grain per layer")
     if hop not in (0, 1):
@@ -400,12 +412,20 @@ def rule_from_spec(doc: Mapping) -> Rule:
     static list of {weight, set} children; ``parse_weight`` reads each
     weight.
     """
+    if not isinstance(doc, Mapping):
+        raise BadParams(f"rule {doc!r} is not an object")
     try:
         name = doc["name"]
-        guard_spec = dict(doc.get("guard") or {})
+        guard_spec = doc.get("guard") or {}
         effect_spec = doc["effect"]
     except KeyError as missing:
         raise BadParams(f"rule is missing field {missing}")
+    if not (isinstance(guard_spec, Mapping) and isinstance(effect_spec, list)
+            and all(isinstance(child, Mapping)
+                    and isinstance(child.get("set") or {}, Mapping)
+                    for child in effect_spec)):
+        raise BadParams(f"rule {name!r}: 'guard' must be an object and 'effect' "
+                        "a list of objects, each with an object 'set'")
 
     def guard(records: Mapping[str, str], want=guard_spec) -> bool:
         return all(records.get(k) == v for k, v in want.items())
@@ -422,7 +442,8 @@ def run_custom(params: Mapping) -> tuple[StateVector, list[RelationReport]]:
     """User-supplied initial records and rule list from a scenario file."""
     initial = params.get("initial")
     rules_spec = params.get("rules")
-    if not isinstance(initial, Mapping) or not rules_spec:
+    if not isinstance(initial, Mapping) or not isinstance(rules_spec, list) \
+            or not rules_spec:
         raise BadParams("custom scenarios need 'initial' records and 'rules'")
     state = StateVector([Branch(1.0 + 0j, {str(k): str(v)
                                            for k, v in initial.items()})])
@@ -451,7 +472,7 @@ SCENARIOS = {
 
 def run_scenario(name: str, params: Mapping | None = None
                  ) -> tuple[StateVector, list[RelationReport]]:
-    if name not in SCENARIOS:
+    if not isinstance(name, str) or name not in SCENARIOS:
         raise BadParams(f"unknown scenario {name!r}")
     return SCENARIOS[name](params or {})
 

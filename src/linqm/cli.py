@@ -26,11 +26,6 @@ class Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-LIE_SETS = ["xyz", "su2", "lorentz", "translations", "translations-reconstructed",
-            "poincare", "poincare-reconstructed", "poincare-mutated", "sun"]
-TARGETS = ["laplacian", "oscillator"]
-
-
 def _resolve_out(path: str | None) -> str | None:
     if path is None:
         return None
@@ -84,7 +79,7 @@ def _exact(x) -> Scalar:
 # ----------------------------------------------------------------------
 def cmd_verify_lie(args) -> int:
     opset = oplib.build_operators(args.set, n=args.n)
-    table = oplib.TABLES[args.set]()
+    table = oplib.OPERATOR_SETS[args.set].table()
     reports_list = oplib.verify_commutator_table(opset, table)
     return _emit(reports_list, _resolve_out(args.out), args.format,
                  {"set": args.set, "n": args.n})
@@ -153,7 +148,7 @@ def cmd_verify_translation_flow(args) -> int:
 def cmd_repr_table(args) -> int:
     space = reps.RepSpace.homogeneous(args.degree)
     spin = oplib.spin_generators()
-    spectrum = reps.spin_spectrum(space, spin)
+    spectrum = reps.spin_spectrum(space)
     _, blocks = reps.casimir_spectrum(spin, space)
     payload = {
         "degree": args.degree,
@@ -235,6 +230,9 @@ def cmd_fock_antisym(args) -> int:
 def cmd_sim_branch(args) -> int:
     with open(args.scenario, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("params") or {}, dict):
+        raise ValueError(f"{args.scenario}: a scenario must be a JSON object "
+                         "whose 'params', if given, is an object")
     name = doc.get("scenario")
     params = dict(doc.get("params") or {})
     for key in ("rules", "initial"):
@@ -307,20 +305,20 @@ def build_parser() -> Parser:
                                  parser_class=Parser)
 
     p = vsub.add_parser("lie", help="commutator tables")
-    p.add_argument("--set", choices=LIE_SETS, default="xyz")
+    p.add_argument("--set", choices=oplib.LIE_SETS, default="xyz")
     p.add_argument("--n", type=_positive_int, default=1, help="site count")
     common(p)
     p.set_defaults(fn=cmd_verify_lie)
 
     p = vsub.add_parser("hermiticity")
-    p.add_argument("--set", choices=LIE_SETS + TARGETS, default="su2")
+    p.add_argument("--set", choices=list(oplib.OPERATOR_SETS), default="su2")
     p.add_argument("--n", type=_positive_int, default=1)
     common(p)
     p.set_defaults(fn=cmd_verify_hermiticity)
 
     p = vsub.add_parser("invariance")
-    p.add_argument("--target", choices=TARGETS, default="laplacian")
-    p.add_argument("--gens", choices=LIE_SETS, default="su2")
+    p.add_argument("--target", choices=oplib.TARGETS, default="laplacian")
+    p.add_argument("--gens", choices=oplib.LIE_SETS, default="su2")
     p.add_argument("--n", type=_positive_int, default=1)
     p.add_argument("--finite-unitaries", type=_nonnegative_int, default=0,
                    help="also check this many exact unitary substitutions")
@@ -340,8 +338,7 @@ def build_parser() -> Parser:
 
     p = vsub.add_parser("translation-flow")
     p.add_argument("--x", default="1,0,0,0", help="four rationals, comma separated")
-    p.add_argument("--set", choices=["translations", "translations-reconstructed"],
-                   default="translations")
+    p.add_argument("--set", choices=oplib.FLOW_SETS, default="translations")
     p.add_argument("--n", type=_positive_int, default=1)
     common(p)
     p.set_defaults(fn=cmd_verify_translation_flow)
@@ -393,7 +390,7 @@ def build_parser() -> Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--dt", type=float, default=1e-2)
     p.add_argument("--steps", type=int, default=10_000)
-    common(p)
+    p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(fn=cmd_collapse_run)
 
     p = sub.add_parser("report", help="re-render a stored report")

@@ -1,6 +1,7 @@
 """Factories for the named operator families and their verification suites.
 
-Operator sets built here:
+Operator sets built here (``OPERATOR_SETS`` names each one, with how it is
+built from the site count and the commutator table it closes under):
 
 * ``xyz``          rotation generators in three real variables
 * ``su2``          spin generators in two complex variables (X + X* form)
@@ -268,36 +269,11 @@ def poincare_set(n: int = 1, reconstructed: bool = False) -> NamedOperatorSet:
     return NamedOperatorSet(name, {**jk.ops, **p.ops}, sites=n)
 
 
-def build_operators(which: str, n: int = 1,
-                    tau: Sequence | None = None) -> NamedOperatorSet:
-    """Single entry point used by the command line; see module docstring."""
-    if which == "xyz":
-        return rotation_generators()
-    if which == "su2":
-        return spin_generators()
-    if which == "laplacian":
-        return complex_laplacian()
-    if which == "oscillator":
-        return oscillator(n)
-    if which == "lorentz":
-        return lorentz_generators(n)
-    if which == "translations":
-        return translation_generators(n)
-    if which == "translations-reconstructed":
-        return translation_generators(n, reconstructed=True)
-    if which == "poincare":
-        return poincare_set(n)
-    if which == "poincare-reconstructed":
-        return poincare_set(n, reconstructed=True)
-    if which == "poincare-mutated":
-        return poincare_set(n).perturbed("J3", 0, 2)
-    if which == "sun":
-        taus = tau if tau is not None else [
-            [[x * gaussian(1, 0, 2) for x in row] for row in m]
+def _pauli_sun(n: int) -> NamedOperatorSet:
+    """The su(2) instance of the internal-symmetry generators: tau = sigma/2."""
+    taus = [[[x * gaussian(1, 0, 2) for x in row] for row in m]
             for m in pauli_matrices()]
-        size = len(taus[0])
-        return internal_symmetry_generators(size, taus, sites=max(n, size))
-    raise ValueError(f"unknown operator set: {which}")
+    return internal_symmetry_generators(2, taus, sites=n)
 
 
 # ----------------------------------------------------------------------
@@ -380,17 +356,48 @@ def pauli_half_structure(a: int, b: int, c: int) -> Scalar:
     return Scalar.of(_EPS.get((a, b, c), 0))
 
 
-TABLES: dict[str, Callable[[], list[TableEntry]]] = {
-    "xyz": lambda: ROTATION_TABLE,
-    "su2": lambda: SPIN_TABLE,
-    "lorentz": lorentz_table,
-    "translations": translation_table,
-    "translations-reconstructed": translation_table,
-    "poincare": poincare_table,
-    "poincare-reconstructed": poincare_table,
-    "poincare-mutated": poincare_table,
-    "sun": lambda: sun_table(3, pauli_half_structure),
+@dataclass(frozen=True)
+class OperatorSetKind:
+    """How one named set is built from the site count, and the commutator
+    table it closes under (None for a lone operator with no table)."""
+
+    build: Callable[[int], NamedOperatorSet]
+    table: Callable[[], list[TableEntry]] | None = None
+
+
+# Every named set, in the order the command line lists them.  Entries call
+# the generator functions through their module names, so a caller that
+# rebinds a module attribute sees the nested calls.
+OPERATOR_SETS: dict[str, OperatorSetKind] = {
+    "xyz": OperatorSetKind(lambda n: rotation_generators(), lambda: ROTATION_TABLE),
+    "su2": OperatorSetKind(lambda n: spin_generators(), lambda: SPIN_TABLE),
+    "lorentz": OperatorSetKind(lambda n: lorentz_generators(n), lorentz_table),
+    "translations": OperatorSetKind(lambda n: translation_generators(n),
+                                    translation_table),
+    "translations-reconstructed": OperatorSetKind(
+        lambda n: translation_generators(n, reconstructed=True), translation_table),
+    "poincare": OperatorSetKind(lambda n: poincare_set(n), poincare_table),
+    "poincare-reconstructed": OperatorSetKind(
+        lambda n: poincare_set(n, reconstructed=True), poincare_table),
+    "poincare-mutated": OperatorSetKind(
+        lambda n: poincare_set(n).perturbed("J3", 0, 2), poincare_table),
+    "sun": OperatorSetKind(lambda n: _pauli_sun(n),
+                           lambda: sun_table(3, pauli_half_structure)),
+    "laplacian": OperatorSetKind(lambda n: complex_laplacian()),
+    "oscillator": OperatorSetKind(lambda n: oscillator(n)),
 }
+LIE_SETS = [name for name, kind in OPERATOR_SETS.items() if kind.table]
+TARGETS = [name for name, kind in OPERATOR_SETS.items() if not kind.table]
+# The sets made of P0..P3 alone, which translation_flow_check reads.
+FLOW_SETS = [name for name, kind in OPERATOR_SETS.items()
+             if kind.table is translation_table]
+
+
+def build_operators(which: str, n: int = 1) -> NamedOperatorSet:
+    """Single entry point used by the command line; see module docstring."""
+    if which not in OPERATOR_SETS:
+        raise ValueError(f"unknown operator set: {which}")
+    return OPERATOR_SETS[which].build(n)
 
 
 def verify_commutator_table(opset: NamedOperatorSet,
@@ -592,22 +599,22 @@ def verify_spacetime_relations(pset: NamedOperatorSet,
 # ----------------------------------------------------------------------
 # translation flow
 # ----------------------------------------------------------------------
-def _flow_series(generator: DiffOp, target: Var, max_order: int = 3) -> tuple[DiffOp, int]:
+def _flow_series(generator: DiffOp, target: Var) -> tuple[DiffOp, int]:
     """exp(generator) applied to a variable and the order of its last
-    nonzero term; NonTerminatingFlow when the series runs past max_order."""
+    nonzero term; NonTerminatingFlow when the series runs past order 3."""
     total = term = DiffOp.variable(target)
     factorial = 1
-    for order in range(1, max_order + 2):
+    for order in range(1, 5):
         term = generator.apply(term)
         if term.is_zero:
             return total, order - 1
         factorial *= order
         total = total + term.scale(gaussian(1, 0, factorial))
-    raise NonTerminatingFlow(f"series on {target} still alive past order {max_order}")
+    raise NonTerminatingFlow(f"series on {target} still alive past order 3")
 
 
-def flow_termination_order(generator: DiffOp, target: Var, max_order: int = 3) -> int:
-    return _flow_series(generator, target, max_order)[1]
+def flow_termination_order(generator: DiffOp, target: Var) -> int:
+    return _flow_series(generator, target)[1]
 
 
 def printed_translation_images(x: Sequence[Scalar], site: int = 1) -> dict[Var, DiffOp]:
@@ -660,11 +667,9 @@ def translation_flow_check(pset: NamedOperatorSet,
 def search_scaling_generator(pset: NamedOperatorSet,
                              candidates: Sequence[DiffOp],
                              lam: ScalarLike,
-                             extra_invariants: Sequence[DiffOp] | None = None,
                              ) -> tuple[list[Scalar], DiffOp] | None:
     """Exact linear solve for G = sum c_r C_r with [G, P_mu] = i lam P_mu
-    and [G, O] = 0 for every supplied invariant (the pairing operator for
-    the same site count by default).
+    and [G, O] = 0 for the pairing operator O of the same site count.
 
     Returns None when the system is infeasible or, in the fully homogeneous
     case, when only the zero combination works.
@@ -672,8 +677,6 @@ def search_scaling_generator(pset: NamedOperatorSet,
     if not candidates:
         return None
     lam = Scalar.of(lam)
-    invariants = list(extra_invariants) if extra_invariants is not None \
-        else [oscillator(pset.sites)["O"]]
 
     rows: list[list[Scalar]] = []
     rhs: list[Scalar] = []
@@ -691,8 +694,8 @@ def search_scaling_generator(pset: NamedOperatorSet,
     for mu in range(4):
         p = pset[f"P{mu}"]
         add_equation([c.commutator(p) for c in candidates], p.scale(I * lam))
-    for inv in invariants:
-        add_equation([c.commutator(inv) for c in candidates], DiffOp.zero())
+    pairing = oscillator(pset.sites)["O"]
+    add_equation([c.commutator(pairing) for c in candidates], DiffOp.zero())
 
     if not rows:
         coeffs = [ONE] + [ZERO] * (len(candidates) - 1)

@@ -117,11 +117,6 @@ class RepSpace:
         return len(self.monomials)
 
     @property
-    def degree(self) -> int | None:
-        degrees = {a + b for a, b in self.monomials}
-        return degrees.pop() if len(degrees) == 1 else None
-
-    @property
     def norms2(self) -> list[Fraction]:
         """Disk-product squared norms 2/((a+1)(b+1))."""
         return [_PAIRING_WEIGHTS["disk"](a, b) for a, b in self.monomials]
@@ -249,23 +244,21 @@ def random_su2(rng: random.Random) -> list[list[Scalar]]:
 # ----------------------------------------------------------------------
 # spectra
 # ----------------------------------------------------------------------
-def spin_spectrum(space: RepSpace,
-                  spin_set: NamedOperatorSet | None = None) -> list[Fraction]:
-    """Exact z-spin eigenvalue of each basis monomial, by application."""
-    sz = (spin_set or spin_generators())["Sz"]
+def _real_diagonal(mat: RepMatrix, name: str) -> list[Fraction]:
+    """Diagonal of an exact matrix that must be diagonal with real entries."""
     values: list[Fraction] = []
-    for mono in space.monomials:
-        poly = monomial_poly(mono)
-        image = sz.apply(poly)
-        coeffs = _poly_monomial_coeffs(image)
-        stray = {m for m, c in coeffs.items() if m != mono and not c.is_zero}
-        if stray:
-            raise NotInvariantSubspace("z-spin generator is not diagonal here")
-        lam = coeffs.get(mono, ZERO)
-        if not lam.im == 0:
-            raise ValueError("z-spin eigenvalue should be real")
-        values.append(lam.re)
+    for i, row in enumerate(mat.entries):
+        if any(not e.is_zero for j, e in enumerate(row) if j != i):
+            raise NotInvariantSubspace(f"{name} is not diagonal on this basis")
+        if row[i].im != 0:
+            raise ValueError(f"{name} eigenvalue should be real")
+        values.append(row[i].re)
     return values
+
+
+def spin_spectrum(space: RepSpace) -> list[Fraction]:
+    """Exact z-spin eigenvalue of each basis monomial."""
+    return _real_diagonal(matrix_rep(spin_generators()["Sz"], space), "z-spin generator")
 
 
 def casimir_operator(gens: NamedOperatorSet, labels: Sequence[str]) -> DiffOp:
@@ -273,33 +266,22 @@ def casimir_operator(gens: NamedOperatorSet, labels: Sequence[str]) -> DiffOp:
 
 
 def casimir_spectrum(gens: NamedOperatorSet, space: RepSpace,
-                     labels: Sequence[str] | None = None,
                      ) -> tuple[RepMatrix, list[tuple[Fraction, list[int]]]]:
-    """Exact matrix of the quadratic invariant and its eigenvalue blocks.
+    """Exact matrix of the quadratic invariant of the first three generators
+    and its eigenvalue blocks.
 
     The generator triple must satisfy the cyclic commutation table; the
     invariant is then diagonal on monomial bases, constant on each
     homogeneous block with value s(s+1) for s = degree/2.
     """
-    labels = list(labels) if labels else gens.labels()[:3]
+    labels = gens.labels()[:3]
     table = cyclic_table(tuple(labels))
     checks = verify_commutator_table(gens, table, suite="casimir-precheck")
     if not all(r.passed for r in checks):
         raise ValueError("generators do not close under the cyclic table")
-    c_op = casimir_operator(gens, labels)
-    mat = matrix_rep(c_op, space)
-    eigs: list[Fraction] = []
-    for i in range(space.dim):
-        for j in range(space.dim):
-            entry = mat.entries[i][j]
-            if i != j and not entry.is_zero:
-                raise NotInvariantSubspace("invariant is not diagonal on this basis")
-        diag = mat.entries[i][i]
-        if diag.im != 0:
-            raise ValueError("invariant eigenvalue should be real")
-        eigs.append(diag.re)
+    mat = matrix_rep(casimir_operator(gens, labels), space)
     blocks: dict[Fraction, list[int]] = {}
-    for i, lam in enumerate(eigs):
+    for i, lam in enumerate(_real_diagonal(mat, "invariant")):
         blocks.setdefault(lam, []).append(i)
     ordered = sorted(blocks.items(), key=lambda kv: kv[0])
     return mat, ordered

@@ -290,12 +290,6 @@ class DiffOp:
         return [((_vars(m), _vars(d)), gaussian(re, im, self._den))
                 for (m, d), (re, im) in self._num.items()]
 
-    def coefficient(self, mults: Mults, derivs: Mults) -> Scalar:
-        return gaussian(*self._num.get((_ids(mults), _ids(derivs)), (0, 0)), self._den)
-
-    def variables(self) -> set[Var]:
-        return {_VARS[i] for mults, derivs in self._num for i, _ in mults + derivs}
-
     def is_derivation(self) -> bool:
         """True when every term has total derivative order exactly one."""
         return bool(self._num) and all(

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -32,6 +33,32 @@ def test_failing_relation_exits_two_with_report(tmp_path, capsys):
     payload = json.loads(out_file.read_text())
     assert payload["pass"] is False
     assert any(not r["pass"] for r in payload["relations"])
+
+
+def _parser_choices(path, dest):
+    """The ``choices`` of option ``dest`` on the subcommand named by ``path``."""
+    parser = cli.build_parser()
+    for name in path:
+        parser = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices[name]
+    return next(a.choices for a in parser._actions if a.dest == dest)
+
+
+LIE_SETS = ["xyz", "su2", "lorentz", "translations", "translations-reconstructed",
+            "poincare", "poincare-reconstructed", "poincare-mutated", "sun"]
+
+
+@pytest.mark.parametrize("path,dest,expected", [
+    (["verify", "lie"], "set", LIE_SETS),
+    (["verify", "hermiticity"], "set", LIE_SETS + ["laplacian", "oscillator"]),
+    (["verify", "invariance"], "target", ["laplacian", "oscillator"]),
+    (["verify", "invariance"], "gens", LIE_SETS),
+    (["verify", "translation-flow"], "set",
+     ["translations", "translations-reconstructed"]),
+], ids=["lie", "hermiticity", "invariance-target", "invariance-gens", "translation-flow"])
+def test_operator_set_choices_in_order(path, dest, expected):
+    # argparse prints these lists in usage and error text.
+    assert list(_parser_choices(path, dest)) == expected
 
 
 def test_usage_error_exits_one(capsys):
@@ -143,10 +170,40 @@ def test_sim_branch_with_complex_amps(tmp_path, capsys):
     {"scenario": "custom", "params": {"initial": {"coin": "up"}},
      "rules": [{"name": "flip", "effect": [{"weight": float("nan"),
                                             "set": {"coin": "down"}}]}]},
-], ids=["three-part-amp", "nan-rule-weight"])
+    {"scenario": "mirror", "params": {"amps": [1e200, 0]}},
+    {"scenario": "custom", "params": {"initial": {"coin": "up"}},
+     "rules": [{"name": "flip", "effect": [{"weight": 1e200,
+                                            "set": {"coin": "down"}}]}]},
+], ids=["three-part-amp", "nan-rule-weight", "overflowing-amp", "overflowing-rule-weight"])
 def test_sim_branch_rejects_bad_weights(doc, tmp_path, capsys):
     scenario = tmp_path / "bad.json"
     scenario.write_text(json.dumps(doc))  # the NaN is written as the token NaN
+    code, out, err = run_cli(["sim", "branch", str(scenario)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("linqm: error: ")
+
+
+@pytest.mark.parametrize("doc", [
+    {"scenario": "grains", "params": {"n": None}},
+    {"scenario": "trajectory", "params": {"n": 3, "layers": None}},
+    {"scenario": "trajectory", "params": {"n": 3, "hop": [1]}},
+    {"scenario": "grains", "params": {"n": 2.5}},
+    [{"scenario": "grains"}],
+    {"scenario": "grains", "params": [["n", 3]]},
+    {"scenario": ["grains"]},
+    {"scenario": "custom", "params": {"initial": {"a": "x"}}, "rules": [1]},
+    {"scenario": "custom", "params": {"initial": {"a": "x"}}, "rules": {"r": 1}},
+    {"scenario": "custom", "params": {"initial": {"a": "x"}},
+     "rules": [{"name": "r", "guard": [1], "effect": []}]},
+    {"scenario": "custom", "params": {"initial": {"a": "x"}},
+     "rules": [{"name": "r", "effect": [{"set": [1]}]}]},
+], ids=["null-count", "null-layers", "list-hop", "fractional-count", "top-level-list",
+        "params-list", "scenario-list", "rule-not-object", "rules-object", "guard-list",
+        "set-list"])
+def test_sim_branch_rejects_malformed_scenarios(doc, tmp_path, capsys):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
     code, out, err = run_cli(["sim", "branch", str(scenario)], capsys)
     assert code == 1
     assert out == ""
@@ -203,6 +260,7 @@ def test_collapse_run_cli(tmp_path, capsys):
     ["--amps=-0.5,1.5"],
     ["--amps", "0.5,0.5", "--dt", "-1"],
     ["--amps", "0.5,0.5", "--record-traces", "8"],  # the flag is gone
+    ["--amps", "0.5,0.5", "--format", "text"],  # the summary is always JSON
 ])
 def test_collapse_run_bad_input_exits_one(extra, tmp_path, capsys):
     out_file = tmp_path / "bad.json"

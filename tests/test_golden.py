@@ -13,7 +13,9 @@ four-, two- and three-outcome ruin digests (one with 105 unabsorbed runs,
 one with a zero-weight outcome) before the ruin walk moved from one step
 at a time to cumulative sums over blocks of steps; the ``fock car`` digests
 before the ladder operators moved from ``scipy.sparse`` matrices to signed
-partial permutations.
+partial permutations; the one-site lie digests of the other eight sets, the
+laplacian and oscillator hermiticity digests and the degree-3 text repr
+table before the named operator sets moved into one registry.
 """
 
 import hashlib
@@ -67,7 +69,30 @@ GOLDEN = [
     (["collapse", "run", "--scheme", "nonlinear_ruin", "--amps", "0,0.4,0.6",
       "--runs", "300", "--seed", "5", "--dt", "0.0137", "--steps", "15000"], 0,
      "9c0dfb97f344c27075e04d23b947ef121382c7708b7910f89138751dcd9e6292"),
+    (["verify", "hermiticity", "--set", "laplacian", "--n", "2"], 0,
+     "6c135b9932700b2b8b6f591e6e17d0d752d5638e4116f0fdbff1b6ff04e47df3"),
+    (["verify", "hermiticity", "--set", "oscillator", "--n", "2"], 0,
+     "e9a4edae44281025592f2febcbbd7e1d3108ab4e76ad79f6f141bb477f094d74"),
+    (["repr", "table", "--degree", "3"], 0,
+     "983b35872d74ea4a2e1d9997dbc769e38ec9fe8b20a362435faacdd739e6f8fa"),
 ]
+
+# verify lie --set S --n 1: (set, exit code, digest).
+LIE_ONE_SITE = [
+    ("xyz", 0, "f90bd1e64443e34969b7a16e9113b8af2bf17c0470ebe255b390885a6f970a47"),
+    ("su2", 0, "0ee34477158b9ee8a483d6ac14120f037173319793938e63ab0470d802fcf2fc"),
+    ("lorentz", 0, "351c736c114378d91f60f297493912df173ccfea4ce7f3556af1d13eab38d5a0"),
+    ("translations", 0,
+     "7083910893c999eeab487208573c6fa3ccefd0843275356e5577c8c971cd85a3"),
+    ("translations-reconstructed", 0,
+     "5b70555114be3461704ab4e1039f34b64c51733d35b2b99dcc65ef163bbef440"),
+    ("poincare", 2, "d2ed03ee1efc3f994067fca1e2c79f8cad85fdca5824099dca48f355a5b1224b"),
+    ("poincare-mutated", 2,
+     "b65e4293ba027074dbf8e067c35007ca612ad01fc845621e3af1cb900229aa3f"),
+    ("sun", 0, "ad959b130fd6891b6de5a2c23ca6d01bfcf6c8c332979b7e258da41f95fb7057"),
+]
+GOLDEN += [(["verify", "lie", "--set", name, "--n", "1"], code, digest)
+           for name, code, digest in LIE_ONE_SITE]
 
 # fock car --modes M [--printed-variant] for M = 1..6:
 # (modes, format, printed variant, exit code, digest).

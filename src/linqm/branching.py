@@ -32,6 +32,11 @@ import numpy as np
 from .report import RelationReport
 
 NORM_TOL = 1e-12
+# Size caps for the built-in film scenarios.  Every branch carries one record
+# per grain, so the ledger grows as branches x grains: ``grains`` with n
+# grains holds n^2 records, and a trajectory one per grain per lane path.
+MAX_GRAINS = 1000
+MAX_PATHS = 5000
 
 
 class NonUnitaryRule(ValueError):
@@ -273,6 +278,8 @@ def run_grains(params: Mapping) -> tuple[StateVector, list[RelationReport]]:
     n = _int_param(params, "n", 8)
     if n < 1:
         raise BadParams("need at least one grain")
+    if n > MAX_GRAINS:
+        raise BadParams(f"{n} grains exceed the cap of {MAX_GRAINS}")
     weights = _unit_weights(params, "weights", n)
     grain_keys = [f"grain-{j}" for j in range(1, n + 1)]
     records = {"electron": "incoming", "Obs": ""}
@@ -317,6 +324,15 @@ def run_grains(params: Mapping) -> tuple[StateVector, list[RelationReport]]:
     return state, reports
 
 
+def trajectory_paths(lanes: int, layers: int, hop: int) -> int:
+    """Lane paths through the layers that move at most ``hop`` lanes per layer:
+    the branch count of a trajectory scenario."""
+    ways = [1] * lanes
+    for _ in range(layers - 1):
+        ways = [sum(ways[max(0, i - hop):i + hop + 1]) for i in range(lanes)]
+    return sum(ways)
+
+
 def run_trajectory(params: Mapping) -> tuple[StateVector, list[RelationReport]]:
     n = _int_param(params, "n", 8)
     layers = _int_param(params, "layers", 3)
@@ -325,6 +341,11 @@ def run_trajectory(params: Mapping) -> tuple[StateVector, list[RelationReport]]:
         raise BadParams("need at least one layer and one grain per layer")
     if hop not in (0, 1):
         raise BadParams("lateral hop is at most one lane")
+    if n * layers > MAX_GRAINS:
+        raise BadParams(f"{n} x {layers} grains exceed the cap of {MAX_GRAINS}")
+    n_paths = trajectory_paths(n, layers, hop)
+    if n_paths > MAX_PATHS:
+        raise BadParams(f"{n_paths} lane paths exceed the cap of {MAX_PATHS}")
     weights = _unit_weights(params, "weights", n)
 
     keys = {(layer, lane): f"grain[{layer},{lane}]"

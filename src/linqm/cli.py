@@ -148,7 +148,8 @@ def cmd_verify_translation_flow(args) -> int:
 def cmd_repr_table(args) -> int:
     space = reps.RepSpace.homogeneous(args.degree)
     spin = oplib.spin_generators()
-    spectrum = reps.spin_spectrum(space)
+    exact = {label: reps.matrix_rep(spin[label], space) for label in ("Sx", "Sy", "Sz")}
+    spectrum = reps.spin_spectrum(exact["Sz"])
     _, blocks = reps.casimir_spectrum(spin, space)
     payload = {
         "degree": args.degree,
@@ -159,15 +160,12 @@ def cmd_repr_table(args) -> int:
         "sz_spectrum": [str(x) for x in spectrum],
         "casimir_blocks": [{"eigenvalue": str(lam), "indices": idx}
                            for lam, idx in blocks],
-        "matrices": {},
-    }
-    for label in ("Sx", "Sy", "Sz"):
-        exact = reps.matrix_rep(spin[label], space)
-        payload["matrices"][label] = {
-            "exact": [[str(e) for e in row] for row in exact.entries],
+        "matrices": {label: {
+            "exact": [[str(e) for e in row] for row in mat.entries],
             "normalized": [[[z.real, z.imag] for z in row]
-                           for row in exact.normalized(space)],
-        }
+                           for row in mat.normalized(space)],
+        } for label, mat in exact.items()},
+    }
     text = report.render_json(payload)
     if args.format == "text":
         lines = [f"degree {args.degree}  dimension {space.dim}"]

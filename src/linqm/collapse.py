@@ -178,6 +178,16 @@ def _ruin_step(w: np.ndarray, i, j, sign: np.ndarray, dt: float) -> np.ndarray:
     return np.maximum(wi, wj) >= 1.0 - ABSORPTION_EPS
 
 
+def _ruin_signs(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """Steps of +-1 as int8: the values, and the generator state after, of
+    ``rng.choice((-1.0, 1.0), shape)``, which draws these same integers and
+    indexes by them, without its float64 temporary."""
+    signs = rng.integers(0, 2, size=shape).astype(np.int8)
+    signs += signs
+    signs -= 1
+    return signs
+
+
 def _ruin_block(w: np.ndarray, live: np.ndarray, signs: np.ndarray,
                 pairs: tuple[np.ndarray, np.ndarray] | None, dt: float,
                 traced: int) -> tuple[np.ndarray, np.ndarray]:
@@ -296,8 +306,9 @@ def _run_ruin(cfg: CollapseConfig) -> tuple[list[RunTrace], CollapseSummary]:
     - an absorbing step is clipped to [0, 1], as the step rule does;
     - any other (boundary) step is taken by the step rule itself, and the
       row's block resumes after it.
-    The draws are the same calls in the same order as a stepwise loop, so
-    the summary and every recorded trace are unchanged byte for byte.
+    The draws take the same values from the stream, in the same order, as
+    a stepwise loop, so the summary and every recorded trace are unchanged
+    byte for byte.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     n, runs = cfg.n, cfg.runs
@@ -325,7 +336,7 @@ def _run_ruin(cfg: CollapseConfig) -> tuple[list[RunTrace], CollapseSummary]:
             j_sel = i_sel + rng.integers(1, n, size=(chunk, m)).astype(idx)
             j_sel -= (j_sel >= n) * idx.type(n)  # (i + offset) mod n
             pairs = (i_sel, j_sel)
-        signs = rng.choice((-1.0, 1.0), size=(chunk, m)).astype(np.int8)
+        signs = _ruin_signs(rng, (chunk, m))
         live = np.ones(m, dtype=bool)  # compaction keeps only live rows
         traced = int(np.searchsorted(alive, k_rec))  # alive is sorted
         block = max(1, min(chunk, _RUIN_BLOCK // m))

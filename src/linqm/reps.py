@@ -26,8 +26,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
-from .oplib import (NamedOperatorSet, cyclic_table, spin_generators,
-                    verify_commutator_table)
+from .oplib import NamedOperatorSet, cyclic_table, verify_commutator_table
 from .report import RelationReport
 from .scalar import ONE, ZERO, Scalar, ScalarLike, gaussian
 from .weyl import DiffOp, LinearSub, Var
@@ -256,9 +255,10 @@ def _real_diagonal(mat: RepMatrix, name: str) -> list[Fraction]:
     return values
 
 
-def spin_spectrum(space: RepSpace) -> list[Fraction]:
-    """Exact z-spin eigenvalue of each basis monomial."""
-    return _real_diagonal(matrix_rep(spin_generators()["Sz"], space), "z-spin generator")
+def spin_spectrum(sz: RepMatrix) -> list[Fraction]:
+    """Exact z-spin eigenvalue of each basis monomial, read from the matrix
+    of the z-spin generator on that basis."""
+    return _real_diagonal(sz, "z-spin generator")
 
 
 def casimir_operator(gens: NamedOperatorSet, labels: Sequence[str]) -> DiffOp:

@@ -21,9 +21,11 @@ numerator part is 1 -- so operator equality is a plain comparison.  A term
 key is (mults, derivs), each half a tuple of (variable id, power >= 1)
 sorted by id.  Ids are small integers from a private intern table that is
 only ever appended to, so all ring operations are integer work.  Ids never
-reach the outside: ``terms``, ``term_items``, ``coefficient``, ``variables``
-and ``render`` return ``Var`` factors ordered by ``Var.key``, so the order
-in which variables were first met cannot change any answer.
+reach the outside: ``terms``, ``term_items`` and ``render`` return ``Var``
+factors ordered by ``Var.key``, so the order in which variables were first
+met cannot change any answer.  Because an id never changes meaning, the
+normal ordering of two terms (``_compose``) is memoized in a cache bounded
+at ``COMPOSE_CACHE_SIZE`` entries.
 
 Text form (documented in docs/operator-text-format.md): a sum of terms
 ``(coeff)*var^k*...*d[var]^m*...`` where a variable prints as its family
@@ -33,6 +35,7 @@ letter, a ``~`` suffix for conjugation, and bracketed indices ``[slot,site]``
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb, gcd, lcm
@@ -42,6 +45,10 @@ from . import linalg
 from .scalar import ONE, ZERO, Scalar, ScalarLike, gaussian
 
 MAX_EXPONENT = 1 << 20
+
+# Entries kept by the ``_compose`` memo.  Bounded, so a long process holds at
+# most this many normal-ordered products.
+COMPOSE_CACHE_SIZE = 2048
 
 
 class ExponentOverflow(OverflowError):
@@ -445,18 +452,23 @@ def _as_op(x: OpLike) -> DiffOp:
     return DiffOp.constant(x)
 
 
-def _compose(m1: Powers, d1: Powers, m2: Powers, d2: Powers) -> list[tuple[int, Key]]:
+@functools.lru_cache(maxsize=COMPOSE_CACHE_SIZE)
+def _compose(m1: Powers, d1: Powers, m2: Powers, d2: Powers) -> tuple[tuple[int, Key], ...]:
     """Normal-order the product (m1 d1)*(m2 d2) into (integer factor, key) pairs.
 
     Only the derivatives of the left term interact with the multiplications
     of the right term; per shared variable x the rewrite is
 
         d^m x^p = sum_k C(m,k) * p(p-1)...(p-k+1) * x^(p-k) d^(m-k).
+
+    Memoized: the arguments are canonical and ids are never reassigned, so a
+    key always names the same product.  The result is a tuple because every
+    caller shares it.  An ``ExponentOverflow`` is not cached and raises again.
     """
     m2_map = dict(m2) if d1 else {}
     shared = [(i, m, m2_map[i]) for i, m in d1 if i in m2_map]
     if not shared:
-        return [(1, (_merge(m1, m2), _merge(d1, d2)))]
+        return ((1, (_merge(m1, m2), _merge(d1, d2))),)
     d1_map = dict(d1)
     choices = [[(i, k, comb(m, k) * _falling(p, k)) for k in range(min(m, p) + 1)]
                for i, m, p in shared]
@@ -470,7 +482,7 @@ def _compose(m1: Powers, d1: Powers, m2: Powers, d2: Powers) -> list[tuple[int, 
             m2_left[i] -= k
             d1_left[i] -= k
         out.append((f, (_merge(m1, _powers(m2_left)), _merge(_powers(d1_left), d2))))
-    return out
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------

@@ -119,6 +119,14 @@ def test_trajectory_with_hop_stays_adjacent():
     assert len(state.branches) > 4
 
 
+@pytest.mark.parametrize("n,layers,hop", [(1, 4, 1), (4, 1, 1), (4, 3, 1), (5, 4, 1),
+                                           (6, 3, 0)])
+def test_trajectory_paths_counts_branches(n, layers, hop):
+    state, _ = branching.run_scenario(
+        "trajectory", {"n": n, "layers": layers, "hop": hop})
+    assert branching.trajectory_paths(n, layers, hop) == len(state.branches)
+
+
 def test_bad_params():
     with pytest.raises(branching.BadParams):
         branching.run_scenario("grains", {"n": 0})

@@ -198,9 +198,13 @@ def test_sim_branch_rejects_bad_weights(doc, tmp_path, capsys):
      "rules": [{"name": "r", "guard": [1], "effect": []}]},
     {"scenario": "custom", "params": {"initial": {"a": "x"}},
      "rules": [{"name": "r", "effect": [{"set": [1]}]}]},
+    {"scenario": "grains", "params": {"n": 1001}},
+    {"scenario": "trajectory", "params": {"n": 100, "layers": 11}},
+    {"scenario": "trajectory", "params": {"n": 9, "layers": 10, "hop": 1}},
 ], ids=["null-count", "null-layers", "list-hop", "fractional-count", "top-level-list",
         "params-list", "scenario-list", "rule-not-object", "rules-object", "guard-list",
-        "set-list"])
+        "set-list", "grains-over-cap", "trajectory-grains-over-cap",
+        "trajectory-paths-over-cap"])
 def test_sim_branch_rejects_malformed_scenarios(doc, tmp_path, capsys):
     scenario = tmp_path / "bad.json"
     scenario.write_text(json.dumps(doc))

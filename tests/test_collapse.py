@@ -279,6 +279,17 @@ def test_blocked_ruin_matches_stepwise_bit_for_bit(cfg):
     _assert_same_as_stepwise(cfg)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (256, 3), (7, 1000), (256, 4000)])
+@pytest.mark.parametrize("seed", [0, 1, 11, 13, 2**32 - 1])
+def test_ruin_signs_are_the_choice_stream(shape, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    ref = np.random.default_rng(np.random.SeedSequence(seed))
+    signs = collapse._ruin_signs(rng, shape)
+    assert signs.dtype == np.int8
+    assert np.array_equal(signs, ref.choice((-1.0, 1.0), size=shape))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_blocked_ruin_matches_stepwise_past_int8_outcome_indices():
     """70 outcomes: i + offset reaches 138, beyond the int8 range."""
     _assert_same_as_stepwise(cfg_probs(range(1, 71), "nonlinear_ruin", runs=40, seed=4,

@@ -114,8 +114,9 @@ def test_normalized_sz_is_diagonal_spectrum():
     spin = oplib.spin_generators()
     for d in range(4):
         space = reps.RepSpace.homogeneous(d)
-        mat = np.array(reps.matrix_rep(spin["Sz"], space).normalized(space))
-        expected = np.diag([float(x) for x in reps.spin_spectrum(space)])
+        sz = reps.matrix_rep(spin["Sz"], space)
+        mat = np.array(sz.normalized(space))
+        expected = np.diag([float(x) for x in reps.spin_spectrum(sz)])
         assert np.max(np.abs(mat - expected)) == 0
 
 
@@ -199,12 +200,21 @@ def test_group_multiplication_rule_exact(degree):
 # ----------------------------------------------------------------------
 # spectra
 # ----------------------------------------------------------------------
+def _spin_spectrum(degree):
+    space = reps.RepSpace.homogeneous(degree)
+    return reps.spin_spectrum(reps.matrix_rep(oplib.spin_generators()["Sz"], space))
+
+
 def test_spin_spectrum_values():
-    assert reps.spin_spectrum(reps.RepSpace.homogeneous(0)) == [Fraction(0)]
-    assert reps.spin_spectrum(reps.RepSpace.homogeneous(1)) == [
-        Fraction(1, 2), Fraction(-1, 2)]
-    assert reps.spin_spectrum(reps.RepSpace.homogeneous(2)) == [
-        Fraction(1), Fraction(0), Fraction(-1)]
+    assert _spin_spectrum(0) == [Fraction(0)]
+    assert _spin_spectrum(1) == [Fraction(1, 2), Fraction(-1, 2)]
+    assert _spin_spectrum(2) == [Fraction(1), Fraction(0), Fraction(-1)]
+
+
+def test_spin_spectrum_rejects_off_diagonal_matrix():
+    space = reps.RepSpace.homogeneous(1)
+    with pytest.raises(reps.NotInvariantSubspace, match="z-spin generator is not diagonal"):
+        reps.spin_spectrum(reps.matrix_rep(oplib.spin_generators()["Sx"], space))
 
 
 @pytest.mark.parametrize("degree", range(5))
@@ -232,9 +242,8 @@ def test_casimir_precheck_rejects_bad_triple():
 
 def test_quantization_dimension_and_spin():
     for d in range(5):
-        space = reps.RepSpace.homogeneous(d)
-        assert space.dim == d + 1
-        spectrum = reps.spin_spectrum(space)
+        assert reps.RepSpace.homogeneous(d).dim == d + 1
+        spectrum = _spin_spectrum(d)
         assert max(spectrum) == Fraction(d, 2)
         steps = {spectrum[k] - spectrum[k + 1] for k in range(d)}
         assert steps <= {Fraction(1)}

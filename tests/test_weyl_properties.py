@@ -2,12 +2,14 @@
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linqm import weyl
 from linqm.scalar import Scalar
-from linqm.weyl import DiffOp, LinearSub, Var
+from linqm.weyl import DiffOp, ExponentOverflow, LinearSub, Var
 
 U, V = Var("u"), Var("v")
 UC = U.conj()
@@ -178,3 +180,35 @@ def test_canonical_form_survives_round_trips(spec):
     assert op.scale(Fraction(1, 3)).scale(3) == op
     assert op - op == DiffOp.zero()
     assert DiffOp.sum(DiffOp.term(c, m, d) for c, m, d in op.terms()) == op
+
+
+# ----------------------------------------------------------------------
+# the normal-ordering memo
+# ----------------------------------------------------------------------
+# Monomials over two variables with powers up to 3, so a left derivative
+# and a right multiplication often share a variable.
+monomials = st.lists(st.tuples(st.sampled_from([U, X]), st.integers(1, 3)),
+                     max_size=2).map(weyl._ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomials, monomials, monomials, monomials)
+def test_compose_memo_matches_uncached(m1, d1, m2, d2):
+    want = weyl._compose.__wrapped__(m1, d1, m2, d2)
+    assert weyl._compose(m1, d1, m2, d2) == want
+    assert weyl._compose(m1, d1, m2, d2) == want  # a cache hit
+    assert isinstance(want, tuple)
+
+
+def test_compose_overflow_raises_on_every_call():
+    top = weyl._ids([(X, weyl.MAX_EXPONENT)])
+    one = weyl._ids([(X, 1)])
+    for _ in range(2):
+        with pytest.raises(ExponentOverflow):
+            weyl._compose(top, (), one, ())
+        with pytest.raises(ExponentOverflow):
+            weyl._compose((), one, (), top)
+
+
+def test_compose_memo_is_bounded():
+    assert weyl._compose.cache_info().maxsize is not None

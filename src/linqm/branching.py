@@ -32,11 +32,12 @@ import numpy as np
 from .report import RelationReport
 
 NORM_TOL = 1e-12
-# Size caps for the built-in film scenarios.  Every branch carries one record
-# per grain, so the ledger grows as branches x grains: ``grains`` with n
-# grains holds n^2 records, and a trajectory one per grain per lane path.
+# Size caps.  Every branch carries one record per subsystem, so the ledger
+# grows as branches x subsystems: ``grains`` with n grains holds n^2 records,
+# and a trajectory one per grain per lane path.  MAX_GRAINS bounds the film
+# scenarios; MAX_BRANCHES bounds every ledger, custom rule files included.
 MAX_GRAINS = 1000
-MAX_PATHS = 5000
+MAX_BRANCHES = 5000
 
 
 class NonUnitaryRule(ValueError):
@@ -127,7 +128,11 @@ def static_effect(children: Effect) -> Callable[[Mapping[str, str]], Effect]:
 
 
 def apply_rule(state: StateVector, rule: Rule) -> StateVector:
-    """Evolve each branch independently; no cross-branch reads are possible."""
+    """Evolve each branch independently; no cross-branch reads are possible.
+
+    Raises ``BadParams`` as soon as the new ledger passes ``MAX_BRANCHES``
+    branches, before the rest of it is built.
+    """
     subsystems = state.subsystems()
     out: list[Branch] = []
     for branch in state.branches:
@@ -146,6 +151,9 @@ def apply_rule(state: StateVector, rule: Rule) -> StateVector:
                 raise BadParams(f"rule {rule.name!r} writes unknown subsystems {stray}")
             records = {**branch.records, **rewrite}
             out.append(Branch(branch.amplitude * weight, records))
+        if len(out) > MAX_BRANCHES:
+            raise BadParams(f"rule {rule.name!r} grows the ledger past the cap of "
+                            f"{MAX_BRANCHES} branches")
     return StateVector(out)
 
 
@@ -344,8 +352,8 @@ def run_trajectory(params: Mapping) -> tuple[StateVector, list[RelationReport]]:
     if n * layers > MAX_GRAINS:
         raise BadParams(f"{n} x {layers} grains exceed the cap of {MAX_GRAINS}")
     n_paths = trajectory_paths(n, layers, hop)
-    if n_paths > MAX_PATHS:
-        raise BadParams(f"{n_paths} lane paths exceed the cap of {MAX_PATHS}")
+    if n_paths > MAX_BRANCHES:
+        raise BadParams(f"{n_paths} lane paths exceed the cap of {MAX_BRANCHES} branches")
     weights = _unit_weights(params, "weights", n)
 
     keys = {(layer, lane): f"grain[{layer},{lane}]"

@@ -29,6 +29,9 @@ from .weyl import DiffOp
 
 Label = Hashable
 
+# Factors a permutation sum takes: k factors build k! kets, and 8 give 40,320.
+MAX_LABELS = 8
+
 
 class AsymmetricInteraction(ValueError):
     """A two-set interaction template was not exchange symmetric."""
@@ -153,6 +156,9 @@ def _permutation_sum(product: LabeledKet, signed: bool) -> KetSum:
     each term signed by the permutation's parity when ``signed``, with the
     1/sqrt(k!) prefactor carried as exact squared metadata."""
     sets = product.sets()
+    if len(sets) > MAX_LABELS:
+        raise ValueError(f"{len(sets)} factors exceed the cap of {MAX_LABELS} "
+                         f"({len(sets)}! permutations)")
     acc: dict[LabeledKet, Scalar] = {}
     for perm in itertools.permutations(range(len(sets))):
         ket = product.permute_sets({s: sets[p] for s, p in zip(sets, perm)})

@@ -25,7 +25,9 @@ reach the outside: ``terms``, ``term_items`` and ``render`` return ``Var``
 factors ordered by ``Var.key``, so the order in which variables were first
 met cannot change any answer.  Because an id never changes meaning, the
 normal ordering of two terms (``_compose``) is memoized in a cache bounded
-at ``COMPOSE_CACHE_SIZE`` entries.
+at ``COMPOSE_CACHE_SIZE`` entries.  ``commutator`` is its own kernel: it
+adds only the contraction terms of both orders, so the terms that cancel in
+``a*b - b*a`` are never built.
 
 Text form (documented in docs/operator-text-format.md): a sum of terms
 ``(coeff)*var^k*...*d[var]^m*...`` where a variable prints as its family
@@ -352,7 +354,29 @@ class DiffOp:
         return self.scale(ONE / c)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
-        return self * other - other * self
+        """[self, other], built without the terms that cancel.
+
+        For each pair of terms the no-contraction term of both orders is the
+        same key with factor 1 (``_compose`` emits it first), so only the
+        contraction terms of each order enter, with signs +1 and -1.  An
+        order whose left derivatives or right multiplications are empty has
+        no contraction terms, so a pair where both orders are such adds
+        nothing.
+        """
+        acc: Numerators = {}
+        for (m1, d1), (a1, b1) in self._num.items():
+            for (m2, d2), (a2, b2) in other._num.items():
+                ab, ba = d1 and m2, d2 and m1
+                if not (ab or ba):
+                    continue
+                re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                for f, key in _compose(m1, d1, m2, d2)[1:] if ab else ():
+                    r, i = acc.get(key, (0, 0))
+                    acc[key] = (r + f * re, i + f * im)
+                for f, key in _compose(m2, d2, m1, d1)[1:] if ba else ():
+                    r, i = acc.get(key, (0, 0))
+                    acc[key] = (r - f * re, i - f * im)
+        return _make(self._den * other._den, acc)
 
     # ------------------------------------------------------------------
     # action, adjoint, conjugation
@@ -460,6 +484,10 @@ def _compose(m1: Powers, d1: Powers, m2: Powers, d2: Powers) -> tuple[tuple[int,
     of the right term; per shared variable x the rewrite is
 
         d^m x^p = sum_k C(m,k) * p(p-1)...(p-k+1) * x^(p-k) d^(m-k).
+
+    The first pair is always ``(1, (_merge(m1, m2), _merge(d1, d2)))``, the
+    term with no contraction (every ``k = 0``); the rest carry at least one
+    contraction.  ``commutator`` relies on this order.
 
     Memoized: the arguments are canonical and ids are never reassigned, so a
     key always names the same product.  The result is a tuple because every

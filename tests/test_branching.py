@@ -162,6 +162,19 @@ def test_nan_weight_fails_the_unitarity_check():
         branching.apply_rule(state, rule)
 
 
+def test_branch_cap_bounds_every_rule():
+    state = branching.StateVector([branching.Branch(1.0 + 0j, {"a": "x"})])
+
+    def split(count):
+        return branching.Rule("split", guard=lambda rec: True, non_unitary=True,
+                              effect=branching.static_effect([(1.0, {})] * count))
+
+    cap = branching.MAX_BRANCHES
+    assert len(branching.apply_rule(state, split(cap)).branches) == cap
+    with pytest.raises(branching.BadParams):
+        branching.apply_rule(state, split(cap + 1))
+
+
 def test_custom_scenario_from_rule_specs():
     params = {
         "initial": {"coin": "up", "obs": ""},

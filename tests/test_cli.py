@@ -143,6 +143,13 @@ def test_fock_antisym_demo(capsys):
     assert "|A>_1|B>_2" in out and "(-1)*|B>_1|A>_2" in out
 
 
+def test_fock_antisym_refuses_more_than_eight_labels(capsys):
+    code, out, err = run_cli(["fock", "antisym", "ABCDEFGHI"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("linqm: error: ")
+
+
 def test_sim_branch_scenario_file(tmp_path, capsys):
     scenario = tmp_path / "grains.json"
     scenario.write_text(json.dumps({"scenario": "grains", "params": {"n": 5}}))
@@ -184,6 +191,17 @@ def test_sim_branch_rejects_bad_weights(doc, tmp_path, capsys):
     assert err.startswith("linqm: error: ")
 
 
+def _coin_flips(coins: int) -> dict:
+    """A custom scenario of independent fair coin flips: 2^coins branches."""
+    half = 0.5 ** 0.5
+    return {"scenario": "custom",
+            "params": {"initial": {f"coin-{i}": "up" for i in range(coins)}},
+            "rules": [{"name": f"flip-{i}", "guard": {f"coin-{i}": "up"},
+                       "effect": [{"weight": half, "set": {f"coin-{i}": "heads"}},
+                                  {"weight": half, "set": {f"coin-{i}": "tails"}}]}
+                      for i in range(coins)]}
+
+
 @pytest.mark.parametrize("doc", [
     {"scenario": "grains", "params": {"n": None}},
     {"scenario": "trajectory", "params": {"n": 3, "layers": None}},
@@ -201,10 +219,11 @@ def test_sim_branch_rejects_bad_weights(doc, tmp_path, capsys):
     {"scenario": "grains", "params": {"n": 1001}},
     {"scenario": "trajectory", "params": {"n": 100, "layers": 11}},
     {"scenario": "trajectory", "params": {"n": 9, "layers": 10, "hop": 1}},
+    _coin_flips(13),
 ], ids=["null-count", "null-layers", "list-hop", "fractional-count", "top-level-list",
         "params-list", "scenario-list", "rule-not-object", "rules-object", "guard-list",
         "set-list", "grains-over-cap", "trajectory-grains-over-cap",
-        "trajectory-paths-over-cap"])
+        "trajectory-paths-over-cap", "custom-branches-over-cap"])
 def test_sim_branch_rejects_malformed_scenarios(doc, tmp_path, capsys):
     scenario = tmp_path / "bad.json"
     scenario.write_text(json.dumps(doc))

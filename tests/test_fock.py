@@ -45,6 +45,15 @@ def test_symmetrizer_invariant_under_exchange():
     assert not dup.is_zero
 
 
+def test_permutation_sums_refuse_more_than_max_labels():
+    product = fock.LabeledKet.of(*[(chr(65 + i), i + 1)
+                                   for i in range(fock.MAX_LABELS + 1)])
+    with pytest.raises(ValueError):
+        fock.antisymmetrize(product)
+    with pytest.raises(ValueError):
+        fock.symmetrize(product)
+
+
 def test_full_quantum_number_tuples_work_as_labels():
     # labels standing for (m, E, p, S, s_z, Q) are ordered tuples
     electron = (1, 2, 0, Fraction(1, 2), Fraction(1, 2), -1)

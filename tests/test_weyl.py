@@ -4,8 +4,8 @@ import pytest
 
 from conftest import agree_on_monomials
 from linqm.scalar import I, ONE, Scalar
-from linqm.weyl import (DiffOp, ExponentOverflow, LinearSub, NotAPolynomial,
-                        SingularSubstitution, Var)
+from linqm.weyl import (MAX_EXPONENT, DiffOp, ExponentOverflow, LinearSub,
+                        NotAPolynomial, SingularSubstitution, Var)
 
 U, V = Var("u"), Var("v")
 X, Y = Var("x", real=True), Var("y", real=True)
@@ -135,6 +135,16 @@ def test_map_sites():
 def test_exponent_overflow_guard():
     with pytest.raises(ExponentOverflow):
         DiffOp.term(ONE, [(U, 1 << 21)], ())
+
+
+def test_commutator_skips_the_overflowing_cancelled_term():
+    # x^MAX and x commute; only their product overflows, so the commutator,
+    # which never forms the product, is exactly zero.
+    top, x = DiffOp.term(ONE, [(X, MAX_EXPONENT)], ()), DiffOp.variable(X)
+    assert top.commutator(x).is_zero
+    assert x.commutator(top).is_zero
+    with pytest.raises(ExponentOverflow):
+        top * x
 
 
 def test_text_format_round():

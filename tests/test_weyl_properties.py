@@ -85,6 +85,12 @@ def test_adjoint_is_involutive_antihomomorphism(a, b):
     assert (a * b).adjoint() == b.adjoint() * a.adjoint()
 
 
+@settings(max_examples=80, deadline=None)
+@given(operators(), operators())
+def test_commutator_matches_difference_of_products(a, b):
+    assert a.commutator(b) == a * b - b * a
+
+
 unit_lower = st.builds(
     lambda c: LinearSub({U: [(Scalar(Fraction(1)), U)],
                          V: [(c, U), (Scalar(Fraction(1)), V)]}),
@@ -173,6 +179,16 @@ def test_mul_and_apply_match_sympy_oracle(a_spec, b_spec, f_spec):
                         - _sym_apply(a_spec, _sym_apply(b_spec, sym_f))) == 0
 
 
+@settings(max_examples=30, deadline=None)
+@given(op_specs, op_specs, poly_specs)
+def test_commutator_apply_matches_sympy_oracle(a_spec, b_spec, f_spec):
+    a, b, f = _build(a_spec), _build(b_spec), _build(f_spec)
+    sym_f = _sym_poly((Fraction(x, d), Fraction(y, d), m) for (x, y, d), m, _ in f_spec)
+    want = _sym_apply(a_spec, _sym_apply(b_spec, sym_f)) \
+        - _sym_apply(b_spec, _sym_apply(a_spec, sym_f))
+    assert sympy.expand(to_sympy(a.commutator(b).apply(f)) - want) == 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(op_specs)
 def test_canonical_form_survives_round_trips(spec):
@@ -198,6 +214,16 @@ def test_compose_memo_matches_uncached(m1, d1, m2, d2):
     assert weyl._compose(m1, d1, m2, d2) == want
     assert weyl._compose(m1, d1, m2, d2) == want  # a cache hit
     assert isinstance(want, tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomials, monomials, monomials, monomials)
+def test_compose_emits_the_no_contraction_term_first(m1, d1, m2, d2):
+    pairs = weyl._compose(m1, d1, m2, d2)
+    assert pairs[0] == (1, (weyl._merge(m1, m2), weyl._merge(d1, d2)))
+    # every later pair has lost at least one multiplication to a contraction
+    degree = sum(p for _, p in m1) + sum(p for _, p in m2)
+    assert all(sum(p for _, p in key[0]) < degree for _, key in pairs[1:])
 
 
 def test_compose_overflow_raises_on_every_call():

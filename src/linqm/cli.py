@@ -216,6 +216,8 @@ def cmd_fock_car(args) -> int:
 
 def cmd_fock_antisym(args) -> int:
     labels = list(args.labels)
+    if not labels:
+        raise ValueError("fock antisym needs at least one label")
     product = fock.LabeledKet.of(*[(lbl, i + 1) for i, lbl in enumerate(labels)])
     result = fock.antisymmetrize(product)
     sys.stdout.write(f"antisymmetrize({product}) = {result}\n")

@@ -33,6 +33,13 @@ ABSORPTION_EPS = 1e-6
 LINEAR_SCHEMES = ("linear_drift", "linear_noise")
 SCHEMES = LINEAR_SCHEMES + ("nonlinear_ruin",)
 
+# Size caps: the schemes hold arrays of runs by outcomes, a linear run one
+# of steps by outcomes, and the work grows as runs x steps.  A configuration
+# past these is refused rather than left to fail inside numpy.
+MAX_RUNS = 100_000
+MAX_STEPS = 1_000_000
+MAX_RUN_STEPS = 2 * 10**9
+
 
 @dataclass(frozen=True)
 class CollapseConfig:
@@ -52,6 +59,11 @@ class CollapseConfig:
             raise ValueError("amplitudes must have unit norm")
         if self.runs < 1 or self.steps < 1 or not 0 < self.dt < np.inf:
             raise ValueError("runs, steps and dt must be positive, dt finite")
+        if self.runs > MAX_RUNS or self.steps > MAX_STEPS:
+            raise ValueError(f"runs must be at most {MAX_RUNS:,} and steps "
+                             f"at most {MAX_STEPS:,}")
+        if self.runs * self.steps > MAX_RUN_STEPS:
+            raise ValueError(f"runs x steps must be at most {MAX_RUN_STEPS:,}")
 
     @property
     def n(self) -> int:

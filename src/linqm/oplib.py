@@ -432,10 +432,10 @@ def verify_invariance(target: DiffOp, gens: NamedOperatorSet,
 
 def verify_substitution_invariance(target: DiffOp,
                                    subs: Iterable[tuple[str, LinearSub]],
-                                   target_name: str = "target",
-                                   suite: str = "invariance:finite") -> list[RelationReport]:
+                                   target_name: str = "target") -> list[RelationReport]:
     """Report substitute(target, A) = target for supplied exact group elements."""
-    return [relation_report(suite, f"{target_name} o {name} = {target_name}",
+    return [relation_report("invariance:finite",
+                            f"{target_name} o {name} = {target_name}",
                             expected=target, actual=target.substitute(sub))
             for name, sub in subs]
 

@@ -516,16 +516,15 @@ def _compose(m1: Powers, d1: Powers, m2: Powers, d2: Powers) -> tuple[tuple[int,
 # ----------------------------------------------------------------------
 # linear substitutions
 # ----------------------------------------------------------------------
-LinearImage = dict[Var, Scalar]
-
-
 class LinearSub:
     """An invertible-when-needed linear change of variables.
 
-    ``images`` maps a variable to a linear combination of variables.  For a
-    complex variable whose conjugate is not mapped explicitly, the conjugate
-    image is filled in by conjugating coefficients and variables, so that
-    the map commutes with formal conjugation.
+    ``images`` maps a variable to its image, a linear polynomial ``DiffOp``
+    built once from the given (coefficient, variable) pairs; the canonical
+    form sums duplicate targets and drops zero coefficients.  For a complex
+    variable whose conjugate is not mapped explicitly, the conjugate image
+    is the formal conjugate of the variable's image, so that the map
+    commutes with formal conjugation.
 
     Polynomials transform by plain replacement.  Operators additionally
     transform their derivative factors by the inverse-transpose of the map
@@ -535,32 +534,17 @@ class LinearSub:
     """
 
     def __init__(self, images: Mapping[Var, Iterable[tuple[ScalarLike, Var]]]):
-        norm: dict[Var, LinearImage] = {}
-        for var, combo in images.items():
-            img: LinearImage = {}
-            for coeff, target in combo:
-                c = Scalar.of(coeff)
-                if c.is_zero:
-                    continue
-                img[target] = img.get(target, ZERO) + c
-            norm[var] = {t: c for t, c in img.items() if not c.is_zero}
-        for var in list(norm):
-            if var.real or var.conj() in norm:
-                continue
-            norm[var.conj()] = {t.conj(): c.conjugate()
-                                for t, c in norm[var].items()}
-        self.images = norm
-
-    def image_poly(self, v: Var) -> DiffOp:
-        if v not in self.images:
-            return DiffOp.variable(v)
-        return DiffOp.sum(DiffOp.variable(t).scale(c)
-                          for t, c in self.images[v].items())
+        self.images: dict[Var, DiffOp] = {
+            var: DiffOp.sum(DiffOp.term(c, [(t, 1)]) for c, t in combo)
+            for var, combo in images.items()}
+        for var in list(self.images):  # a real variable is its own conjugate
+            if var.conj() not in self.images:
+                self.images[var.conj()] = self.images[var].conjugate()
 
     def basis(self) -> list[Var]:
         touched: set[Var] = set(self.images)
         for img in self.images.values():
-            touched.update(img)
+            touched.update(t for _, t in _linear_terms(img))
         return sorted(touched, key=lambda v: v.key)
 
     def matrix(self, basis: list[Var]) -> linalg.Matrix:
@@ -568,14 +552,14 @@ class LinearSub:
         mat = linalg.identity(len(basis))
         for var, img in self.images.items():
             row = [ZERO] * len(basis)
-            for target, c in img.items():
+            for c, target in _linear_terms(img):
                 row[index[target]] = c
             mat[index[var]] = row
         return mat
 
     def apply(self, op: DiffOp) -> DiffOp:
         if op.is_polynomial:
-            return self._apply_with(op, deriv_images=None)
+            return self._apply_with(op, {})
         basis = self.basis()
         inv = linalg.invert(self.matrix(basis))
         if inv is None:
@@ -589,20 +573,18 @@ class LinearSub:
                 for k in range(len(basis)) if not inv[k][i].is_zero)
         return self._apply_with(op, deriv_images)
 
-    def _apply_with(self, op: DiffOp, deriv_images: dict[Var, DiffOp] | None) -> DiffOp:
+    def _apply_with(self, op: DiffOp, deriv_images: dict[Var, DiffOp]) -> DiffOp:
         pieces = []
         for (mults, derivs), c in op._num.items():
             piece = _make(op._den, {((), ()): c})
             for i, p in mults:
-                img = self.image_poly(_VARS[i])
+                v = _VARS[i]
+                img = self.images[v] if v in self.images else DiffOp.variable(v)
                 for _ in range(p):
                     piece = piece * img
             for i, p in derivs:
                 v = _VARS[i]
-                if deriv_images is None:
-                    img = DiffOp.derivative(v)
-                else:
-                    img = deriv_images.get(v, DiffOp.derivative(v))
+                img = deriv_images.get(v, DiffOp.derivative(v))
                 for _ in range(p):
                     piece = piece * img
             pieces.append(piece)
@@ -610,20 +592,11 @@ class LinearSub:
 
     def compose(self, first: "LinearSub") -> "LinearSub":
         """The map 'apply ``first``, then self' (self o first)."""
-        images: dict[Var, list[tuple[Scalar, Var]]] = {}
-        for var in set(first.images) | set(self.images):
-            if var in first.images:
-                combo: LinearImage = {}
-                for target, c in first.images[var].items():
-                    inner = self.images.get(target, {target: ONE})
-                    for t2, c2 in inner.items():
-                        combo[t2] = combo.get(t2, ZERO) + c * c2
-            else:
-                combo = dict(self.images[var])
-            images[var] = [(c, t) for t, c in combo.items()]
-        return LinearSub(images)
+        images = {**self.images,
+                  **{var: self.apply(img) for var, img in first.images.items()}}
+        return LinearSub({var: _linear_terms(img) for var, img in images.items()})
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearSub):
-            return NotImplemented
-        return self.images == other.images
+
+def _linear_terms(img: DiffOp) -> list[tuple[Scalar, Var]]:
+    """The (coefficient, variable) pairs of a linear polynomial."""
+    return [(c, mults[0][0]) for (mults, _), c in img.term_items()]

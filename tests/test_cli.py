@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +60,35 @@ LIE_SETS = ["xyz", "su2", "lorentz", "translations", "translations-reconstructed
 def test_operator_set_choices_in_order(path, dest, expected):
     # argparse prints these lists in usage and error text.
     assert list(_parser_choices(path, dest)) == expected
+
+
+def _readme_commands():
+    """The ``linqm ...`` lines of README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands, pending = [], ""
+    for raw in block.splitlines():
+        line = raw.split("#", 1)[0].rstrip()
+        if line.endswith("\\"):
+            pending += line[:-1]
+            continue
+        line, pending = (pending + line).strip(), ""
+        if line:
+            commands.append(line)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) == 15
+    for line in commands:
+        words = shlex.split(line)
+        assert words[0] == "linqm", line
+        try:
+            args = cli.build_parser().parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        assert callable(args.fn), line
 
 
 def test_usage_error_exits_one(capsys):
@@ -284,6 +314,9 @@ def test_collapse_run_cli(tmp_path, capsys):
     ["--amps", "0.5,0.5", "--dt", "-1"],
     ["--amps", "0.5,0.5", "--record-traces", "8"],  # the flag is gone
     ["--amps", "0.5,0.5", "--format", "text"],  # the summary is always JSON
+    ["--amps", "0.5,0.5", "--runs", "100001"],  # collapse.MAX_RUNS
+    ["--amps", "0.5,0.5", "--steps", "1000001"],  # collapse.MAX_STEPS
+    ["--amps", "0.5,0.5", "--runs", "40000", "--steps", "60000"],  # MAX_RUN_STEPS
 ])
 def test_collapse_run_bad_input_exits_one(extra, tmp_path, capsys):
     out_file = tmp_path / "bad.json"
@@ -394,6 +427,7 @@ def test_missing_scenario_file_is_usage_error(capsys):
     ["fock", "car", "--modes", "0"],
     ["repr", "homomorphism", "--pairs", "0"],
     ["verify", "invariance", "--finite-unitaries", "-3"],
+    ["fock", "antisym", ""],
 ])
 def test_zero_sizes_are_usage_errors(args, capsys):
     code, out, _ = run_cli(args, capsys)

@@ -112,6 +112,38 @@ def test_substitute_conjugate_extension():
     assert sub.apply(uc) == uc.scale(-I)
 
 
+def test_substitute_sums_duplicate_targets_and_drops_zeros():
+    sub = LinearSub({U: [(1, U), (2, U), (0, V)]})
+    assert sub.apply(u) == 3 * u
+    assert sub.apply(v) == v
+
+
+def test_substitute_all_zero_image():
+    sub = LinearSub({U: []})
+    uc = DiffOp.variable(U.conj())
+    assert sub.apply(u).is_zero
+    assert sub.apply(uc).is_zero
+    assert sub.apply(u * v + uc).is_zero
+    with pytest.raises(SingularSubstitution):
+        (u * du).substitute(sub)
+
+
+def test_substitute_conjugate_fill_acts_on_derivatives():
+    # u -> i u fills u~ -> -i u~, so d/du~ -> (1/(-i)) d/du~ = i d/du~
+    sub = LinearSub({U: [(I, U)]})
+    uc, duc = DiffOp.variable(U.conj()), DiffOp.derivative(U.conj())
+    assert sub.apply(duc) == duc.scale(I)
+    op = uc * duc + duc
+    f = uc * uc * u
+    assert op.substitute(sub).apply(sub.apply(f)) == sub.apply(op.apply(f))
+
+
+def test_real_variable_gets_no_conjugate_image():
+    sub = LinearSub({X: [(2, X), (1, Y)]})
+    assert set(sub.images) == {X}
+    assert sub.apply(DiffOp.variable(X)) == 2 * DiffOp.variable(X) + DiffOp.variable(Y)
+
+
 def test_substitution_preserves_operator_action():
     # conjugation identity: sub(op) applied to sub(f) equals sub(op(f))
     sub = LinearSub({U: [(ONE, U), (Scalar(Fraction(1, 2)), V)], V: [(ONE, V)]})

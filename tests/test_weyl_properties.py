@@ -99,7 +99,12 @@ unit_upper = st.builds(
     lambda c: LinearSub({U: [(Scalar(Fraction(1)), U), (c, V)],
                          V: [(Scalar(Fraction(1)), V)]}),
     scalars)
-invertible_subs = st.one_of(unit_lower, unit_upper)
+# maps u (and so, by the conjugate fill, u~) onto the real x
+unit_real = st.builds(
+    lambda c: LinearSub({U: [(Scalar(Fraction(1)), U), (c, X)],
+                         X: [(Scalar(Fraction(1)), X)]}),
+    scalars)
+invertible_subs = st.one_of(unit_lower, unit_upper, unit_real)
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,6 +10,7 @@ relative --out paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -18,6 +19,10 @@ from fractions import Fraction
 
 from . import branching, collapse, fock, linalg, oplib, report, reps
 from .scalar import Scalar
+
+# Random pairs one ``repr homomorphism`` call checks: each costs two group
+# elements' matrices and one product at the chosen degree.
+MAX_PAIRS = 50
 
 
 class Parser(argparse.ArgumentParser):
@@ -183,6 +188,8 @@ def cmd_repr_table(args) -> int:
 
 
 def cmd_repr_homomorphism(args) -> int:
+    if args.pairs > MAX_PAIRS:
+        raise ValueError(f"{args.pairs} pairs exceed the cap of {MAX_PAIRS}")
     rng = random.Random(args.seed)
     space = reps.RepSpace.homogeneous(args.degree)
     reports_list = []
@@ -292,7 +299,10 @@ def cmd_report(args) -> int:
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
+@functools.cache
 def build_parser() -> Parser:
+    """The command-line parser, built once per process: parsing never
+    changes it, and every call returns a fresh namespace."""
     parser = Parser(prog="linqm")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
 

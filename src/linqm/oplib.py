@@ -461,9 +461,6 @@ class RationalExpr:
             return NotImplemented
         return (self.num * other.den) == (other.num * self.den)
 
-    def render(self) -> str:
-        return f"[{self.num.render()}] / [{self.den.render()}]"
-
 
 @dataclass
 class SpacetimeMap:

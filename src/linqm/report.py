@@ -48,15 +48,20 @@ def relation_report(suite: str, relation: str, expected: DiffOp, actual: DiffOp,
     """The record for the operator identity ``actual = expected``.
 
     The residual ``actual - expected`` is computed once and every operator
-    is rendered once; ``expected_text`` replaces the rendering of
-    ``expected`` where a symbolic form reads better.
+    is rendered at most once; ``expected_text`` replaces the rendering of
+    ``expected`` where a symbolic form reads better.  When the residual is
+    zero the two operators are equal, so ``expected`` takes the text of
+    ``actual``: equal canonical operators render alike.
     """
     residual = actual - expected
+    actual_text = actual.render()
+    if expected_text is None:
+        expected_text = actual_text if residual.is_zero else expected.render()
     return RelationReport(
         suite=suite,
         relation=relation,
-        expected=expected.render() if expected_text is None else expected_text,
-        actual=actual.render(),
+        expected=expected_text,
+        actual=actual_text,
         residual=residual.render(),
         passed=residual.is_zero,
     )

@@ -26,6 +26,29 @@ def gaussian(re: int, im: int, den: int) -> "Scalar":
     return s
 
 
+def _format_rational(n: int, d: int) -> str:
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def format_gaussian(re: int, im: int, den: int) -> str:
+    """Text of (re + im*i) / den, for integers with den > 0.
+
+    Each part prints reduced as ``n/d``, the sign on ``n`` and ``/d`` left
+    out when ``d`` is 1; the imaginary part carries an ``i`` (``i`` and
+    ``-i`` alone for +-1), and a zero part is left out unless both are zero.
+    """
+    re_s = _format_rational(re, den)
+    if not im:
+        return re_s
+    im_s = _format_rational(im, den)
+    im_s = "i" if im_s == "1" else "-i" if im_s == "-1" else im_s + "i"
+    if not re:
+        return im_s
+    return f"{re_s}+{im_s}" if im > 0 else re_s + im_s
+
+
 class Scalar:
     """A complex number re + im*i with exact rational parts."""
 
@@ -115,14 +138,7 @@ class Scalar:
         return complex(self.num_re / self.den, self.num_im / self.den)
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        im_s = "i" if im == 1 else ("-i" if im == -1 else f"{im}i")
-        if re == 0:
-            return im_s
-        sign = "+" if im > 0 else ""
-        return f"{re}{sign}{im_s}"
+        return format_gaussian(self.num_re, self.num_im, self.den)
 
     def __repr__(self) -> str:
         return f"Scalar({self})"

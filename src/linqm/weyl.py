@@ -24,10 +24,11 @@ only ever appended to, so all ring operations are integer work.  Ids never
 reach the outside: ``terms``, ``term_items`` and ``render`` return ``Var``
 factors ordered by ``Var.key``, so the order in which variables were first
 met cannot change any answer.  Because an id never changes meaning, the
-normal ordering of two terms (``_compose``) is memoized in a cache bounded
-at ``COMPOSE_CACHE_SIZE`` entries.  ``commutator`` is its own kernel: it
-adds only the contraction terms of both orders, so the terms that cancel in
-``a*b - b*a`` are never built.
+normal ordering of two terms (``_compose``) and the sort key and text of
+each half of a term key (``_half_text``) are memoized, each in a cache
+bounded at ``COMPOSE_CACHE_SIZE`` entries.  ``commutator`` is its own
+kernel: it adds only the contraction terms of both orders, so the terms
+that cancel in ``a*b - b*a`` are never built.
 
 Text form (documented in docs/operator-text-format.md): a sum of terms
 ``(coeff)*var^k*...*d[var]^m*...`` where a variable prints as its family
@@ -44,12 +45,12 @@ from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from . import linalg
-from .scalar import ONE, ZERO, Scalar, ScalarLike, gaussian
+from .scalar import ONE, ZERO, Scalar, ScalarLike, format_gaussian, gaussian
 
 MAX_EXPONENT = 1 << 20
 
-# Entries kept by the ``_compose`` memo.  Bounded, so a long process holds at
-# most this many normal-ordered products.
+# Entries kept by each memo (``_compose`` and ``_half_text``).  Bounded, so a
+# long process holds at most this many normal-ordered products and texts.
 COMPOSE_CACHE_SIZE = 2048
 
 
@@ -357,11 +358,12 @@ class DiffOp:
         """[self, other], built without the terms that cancel.
 
         For each pair of terms the no-contraction term of both orders is the
-        same key with factor 1 (``_compose`` emits it first), so only the
-        contraction terms of each order enter, with signs +1 and -1.  An
-        order whose left derivatives or right multiplications are empty has
-        no contraction terms, so a pair where both orders are such adds
-        nothing.
+        same key with factor 1, so only the contraction terms of each order
+        enter, with signs +1 and -1.  The no-contraction term is never built,
+        so a pair whose product would pass ``MAX_EXPONENT`` still commutes
+        exactly.  An order whose left derivatives or right multiplications
+        are empty has no contraction terms, so a pair where both orders are
+        such adds nothing.
         """
         acc: Numerators = {}
         for (m1, d1), (a1, b1) in self._num.items():
@@ -370,10 +372,10 @@ class DiffOp:
                 if not (ab or ba):
                     continue
                 re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-                for f, key in _compose(m1, d1, m2, d2)[1:] if ab else ():
+                for f, key in _compose(m1, d1, m2, d2, True) if ab else ():
                     r, i = acc.get(key, (0, 0))
                     acc[key] = (r + f * re, i + f * im)
-                for f, key in _compose(m2, d2, m1, d1)[1:] if ba else ():
+                for f, key in _compose(m2, d2, m1, d1, True) if ba else ():
                     r, i = acc.get(key, (0, 0))
                     acc[key] = (r - f * re, i - f * im)
         return _make(self._den * other._den, acc)
@@ -451,17 +453,19 @@ class DiffOp:
     # rendering
     # ------------------------------------------------------------------
     def render(self) -> str:
-        if self.is_zero:
+        """The text form, built from the integer form: terms sorted as in
+        ``terms``, each coefficient formatted by ``format_gaussian``."""
+        if not self._num:
             return "0"
-        parts = []
-        for coeff, mults, derivs in self.terms():
-            factors = [f"({coeff})"]
-            for v, p in mults:
-                factors.append(v.label() + (f"^{p}" if p > 1 else ""))
-            for v, p in derivs:
-                factors.append(f"d[{v.label()}]" + (f"^{p}" if p > 1 else ""))
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        den = self._den
+        rows = []
+        for (m, d), (re, im) in self._num.items():
+            m_key, m_text, _ = _half_text(m)
+            d_key, _, d_text = _half_text(d)
+            coeff = format_gaussian(re, im, den)
+            rows.append(((m_key, d_key), f"({coeff}){m_text}{d_text}"))
+        rows.sort()  # term keys are distinct, so the texts are never compared
+        return " + ".join(text for _, text in rows)
 
     def __str__(self) -> str:
         return self.render()
@@ -477,7 +481,23 @@ def _as_op(x: OpLike) -> DiffOp:
 
 
 @functools.lru_cache(maxsize=COMPOSE_CACHE_SIZE)
-def _compose(m1: Powers, d1: Powers, m2: Powers, d2: Powers) -> tuple[tuple[int, Key], ...]:
+def _half_text(powers: Powers) -> tuple[tuple, str, str]:
+    """Sort key of one half of a term key, and its text as multiplications
+    and as derivatives, each factor led by ``*``.
+
+    Memoized: ids are never reassigned, so the same powers always name the
+    same variables.
+    """
+    factors = _vars(powers)
+    labels = [(v.label(), f"^{p}" if p > 1 else "") for v, p in factors]
+    return (tuple((v.key, p) for v, p in factors),
+            "".join(f"*{label}{power}" for label, power in labels),
+            "".join(f"*d[{label}]{power}" for label, power in labels))
+
+
+@functools.lru_cache(maxsize=COMPOSE_CACHE_SIZE)
+def _compose(m1: Powers, d1: Powers, m2: Powers, d2: Powers,
+             contractions_only: bool = False) -> tuple[tuple[int, Key], ...]:
     """Normal-order the product (m1 d1)*(m2 d2) into (integer factor, key) pairs.
 
     Only the derivatives of the left term interact with the multiplications
@@ -485,9 +505,11 @@ def _compose(m1: Powers, d1: Powers, m2: Powers, d2: Powers) -> tuple[tuple[int,
 
         d^m x^p = sum_k C(m,k) * p(p-1)...(p-k+1) * x^(p-k) d^(m-k).
 
-    The first pair is always ``(1, (_merge(m1, m2), _merge(d1, d2)))``, the
-    term with no contraction (every ``k = 0``); the rest carry at least one
-    contraction.  ``commutator`` relies on this order.
+    The first pair is ``(1, (_merge(m1, m2), _merge(d1, d2)))``, the term
+    with no contraction (every ``k = 0``); the rest carry at least one
+    contraction.  ``contractions_only`` leaves the first pair out without
+    building it, so its exponents are never checked; ``commutator`` passes
+    it, since that term cancels between the two orders.
 
     Memoized: the arguments are canonical and ids are never reassigned, so a
     key always names the same product.  The result is a tuple because every
@@ -496,12 +518,15 @@ def _compose(m1: Powers, d1: Powers, m2: Powers, d2: Powers) -> tuple[tuple[int,
     m2_map = dict(m2) if d1 else {}
     shared = [(i, m, m2_map[i]) for i, m in d1 if i in m2_map]
     if not shared:
-        return ((1, (_merge(m1, m2), _merge(d1, d2))),)
+        return () if contractions_only else ((1, (_merge(m1, m2), _merge(d1, d2))),)
     d1_map = dict(d1)
     choices = [[(i, k, comb(m, k) * _falling(p, k)) for k in range(min(m, p) + 1)]
                for i, m, p in shared]
+    combos = itertools.product(*choices)
+    if contractions_only:
+        next(combos)  # every k = 0: the no-contraction term
     out = []
-    for combo in itertools.product(*choices):
+    for combo in combos:
         f = 1
         m2_left = dict(m2_map)
         d1_left = dict(d1_map)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from linqm import cli, report
+from linqm.weyl import DiffOp, Var
 
 
 def run_cli(args, capsys):
@@ -91,6 +92,20 @@ def test_readme_commands_parse():
         assert callable(args.fn), line
 
 
+def test_parser_reuse_leaks_nothing_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run_cli(["verify", "lie", "--set", "su2", "--n", "2",
+                            "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["set"] == "su2"
+    code, out, _ = run_cli(["verify", "lie"], capsys)
+    assert code == 0
+    assert out.startswith("[PASS] lie:xyz") and "3/3 relations pass" in out
+    args = cli.build_parser().parse_args(["repr", "homomorphism"])
+    assert (args.degree, args.pairs, args.seed, args.out, args.format) == \
+        (2, 10, 0, None, "text")
+    assert not hasattr(args, "set") and not hasattr(args, "n")
+
+
 def test_usage_error_exits_one(capsys):
     assert cli.main(["verify", "lie", "--set", "not-a-set"]) == 1
     assert cli.main(["no-such-command"]) == 1
@@ -157,6 +172,24 @@ def test_repr_homomorphism(capsys):
     code, _, _ = run_cli(["repr", "homomorphism", "--degree", "3",
                           "--pairs", "5", "--seed", "1"], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["repr", "table", "--degree", "33"],
+    ["repr", "homomorphism", "--degree", "33", "--pairs", "1"],
+    ["repr", "homomorphism", "--degree", "0", "--pairs", "51"],
+])
+def test_repr_sizes_past_the_caps_are_usage_errors(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("linqm: error: ")
+
+
+def test_repr_sizes_at_the_caps_are_accepted(capsys):
+    assert run_cli(["repr", "table", "--degree", "32"], capsys)[0] == 0
+    assert run_cli(["repr", "homomorphism", "--degree", "0", "--pairs", "50"],
+                   capsys)[0] == 0
 
 
 def test_fock_car_cli(capsys):
@@ -387,6 +420,24 @@ def test_report_rejects_malformed_file(payload, fmt, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("linqm: error: ")
+
+
+def test_relation_report_renders_equal_operators_once(monkeypatch):
+    u, v = DiffOp.variable(Var("u")), DiffOp.variable(Var("v"))
+    rendered = []
+    render = DiffOp.render
+    monkeypatch.setattr(DiffOp, "render",
+                        lambda op: rendered.append(op) or render(op))
+    actual, expected = u * v + v, v * u + v  # equal, built apart
+    rec = report.relation_report("s", "r", expected, actual)
+    assert rec.passed and rec.expected == rec.actual == render(actual)
+    assert [op for op in rendered if not op.is_zero] == [actual]
+    assert all(op is not expected for op in rendered)
+    rendered.clear()
+    rec = report.relation_report("s", "r", u, v)
+    assert not rec.passed
+    assert (rec.expected, rec.actual, rec.residual) == ("(1)*u", "(1)*v", "(-1)*u + (1)*v")
+    assert any(op is u for op in rendered) and any(op is v for op in rendered)
 
 
 def test_empty_reports_payload_does_not_pass():

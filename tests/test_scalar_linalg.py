@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linqm import linalg
-from linqm.scalar import I, ONE, ZERO, Scalar, rational_sqrt
+from linqm.scalar import I, ONE, ZERO, Scalar, format_gaussian, rational_sqrt
 
 
 def test_exact_arithmetic():
@@ -132,3 +132,20 @@ def test_solve_and_nullspace():
     for v in basis:
         assert all(e.is_zero for e in linalg.mat_vec(a, v))
     assert linalg.solve(a, [Scalar.of(1), Scalar.of(1)]) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts)
+def test_str_is_format_gaussian_of_the_parts(x):
+    s = Scalar(*x)
+    assert str(s) == format_gaussian(s.num_re, s.num_im, s.den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**40, 10**40), st.integers(-10**40, 10**40),
+       st.integers(1, 10**30), st.integers(1, 10**6))
+def test_format_gaussian_reduces_each_part(re, im, den, k):
+    # an unreduced numerator and denominator print as their reduced parts
+    want = _reference_str(Fraction(re, den), Fraction(im, den))
+    assert format_gaussian(re * k, im * k, den * k) == want
+    assert format_gaussian(re, im, den) == want

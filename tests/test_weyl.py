@@ -179,6 +179,18 @@ def test_commutator_skips_the_overflowing_cancelled_term():
         top * x
 
 
+def test_commutator_exact_when_the_cancelled_term_overflows():
+    # [x^MAX d/dx, x] = x^MAX, while the cancelled term x^(MAX+1) d/dx of
+    # both products is past the bound.
+    top = DiffOp.term(ONE, [(X, MAX_EXPONENT)], [(X, 1)])
+    x = DiffOp.variable(X)
+    want = DiffOp.term(ONE, [(X, MAX_EXPONENT)], ())
+    assert top.commutator(x) == want
+    assert x.commutator(top) == -want
+    with pytest.raises(ExponentOverflow):
+        top * x
+
+
 def test_text_format_round():
     op = DiffOp.term(Scalar(Fraction(1, 2), Fraction(-1)),
                      [(Var("u", 1, 2), 2)], [(Var("v", 2, 1, True), 1)])

@@ -213,11 +213,11 @@ monomials = st.lists(st.tuples(st.sampled_from([U, X]), st.integers(1, 3)),
 
 
 @settings(max_examples=60, deadline=None)
-@given(monomials, monomials, monomials, monomials)
-def test_compose_memo_matches_uncached(m1, d1, m2, d2):
-    want = weyl._compose.__wrapped__(m1, d1, m2, d2)
-    assert weyl._compose(m1, d1, m2, d2) == want
-    assert weyl._compose(m1, d1, m2, d2) == want  # a cache hit
+@given(monomials, monomials, monomials, monomials, st.booleans())
+def test_compose_memo_matches_uncached(m1, d1, m2, d2, contractions_only):
+    want = weyl._compose.__wrapped__(m1, d1, m2, d2, contractions_only)
+    assert weyl._compose(m1, d1, m2, d2, contractions_only) == want
+    assert weyl._compose(m1, d1, m2, d2, contractions_only) == want  # a cache hit
     assert isinstance(want, tuple)
 
 
@@ -229,6 +229,8 @@ def test_compose_emits_the_no_contraction_term_first(m1, d1, m2, d2):
     # every later pair has lost at least one multiplication to a contraction
     degree = sum(p for _, p in m1) + sum(p for _, p in m2)
     assert all(sum(p for _, p in key[0]) < degree for _, key in pairs[1:])
+    # and the contractions-only form is exactly those later pairs
+    assert weyl._compose(m1, d1, m2, d2, True) == pairs[1:]
 
 
 def test_compose_overflow_raises_on_every_call():
@@ -243,3 +245,50 @@ def test_compose_overflow_raises_on_every_call():
 
 def test_compose_memo_is_bounded():
     assert weyl._compose.cache_info().maxsize is not None
+
+
+# ----------------------------------------------------------------------
+# rendering: the integer-form renderer against the Scalar-based one
+# ----------------------------------------------------------------------
+def _reference_render(op: DiffOp) -> str:
+    """The renderer that went through ``terms`` and ``str(Scalar)``, kept as
+    the oracle."""
+    if op.is_zero:
+        return "0"
+    parts = []
+    for coeff, mults, derivs in op.terms():
+        factors = [f"({coeff})"]
+        for v, p in mults:
+            factors.append(v.label() + (f"^{p}" if p > 1 else ""))
+        for v, p in derivs:
+            factors.append(f"d[{v.label()}]" + (f"^{p}" if p > 1 else ""))
+        parts.append("*".join(factors))
+    return " + ".join(parts)
+
+
+# Slotted, conjugated and real variables, with a complex and a real variable
+# that share family, slot and site (both print as "w[1,2]").
+W = Var("w", 1, 2)
+RENDER_POOL = [U, UC, V, X, Var("x"), W, W.conj(), Var("w", 1, 2, real=True),
+               Var("w", 2, 1), Var("y", site=3), Var("y", site=3).conj()]
+render_powers = st.lists(st.tuples(st.sampled_from(RENDER_POOL), st.integers(1, 4)),
+                         max_size=3)
+render_parts = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-10**40, 10**40),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+)
+render_coeffs = st.one_of(
+    st.sampled_from([Scalar(0, 1), Scalar(0, -1), Scalar(1), Scalar(-1)]),
+    st.builds(lambda im: Scalar(0, im), render_parts),  # purely imaginary
+    st.builds(Scalar, render_parts, render_parts),  # mixed
+).filter(lambda s: not s.is_zero)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(render_coeffs, render_powers, render_powers), max_size=5))
+def test_render_matches_reference_renderer(spec):
+    op = DiffOp.sum(DiffOp.term(c, m, d) for c, m, d in spec)
+    assert op.render() == _reference_render(op)
+    assert str(op) == op.render()

@@ -17,8 +17,14 @@ import random
 import sys
 from fractions import Fraction
 
-from . import branching, collapse, fock, linalg, oplib, report, reps
+from . import linalg, oplib, report, reps
 from .scalar import Scalar
+
+# The simulator modules (branching, collapse, fock) load numpy, and collapse
+# also scipy.special; each simulator command imports its module, so the
+# exact commands start without either.  ``collapse run --scheme`` choices,
+# in the order of collapse.SCHEMES:
+SCHEMES = ("linear_drift", "linear_noise", "nonlinear_ruin")
 
 # Random pairs one ``repr homomorphism`` call checks: each costs two group
 # elements' matrices and one product at the chosen degree.
@@ -46,7 +52,7 @@ def _emit(reports_list, out: str | None, fmt: str, extra: dict | None = None) ->
         else report.render_text(reports_list)
     sys.stdout.write(text)
     if out:
-        report.write_report(out, payload)
+        report.write_report(out, text if fmt == "json" else report.render_json(payload))
     return 0 if payload["pass"] else 2
 
 
@@ -171,7 +177,7 @@ def cmd_repr_table(args) -> int:
                            for row in mat.normalized(space)],
         } for label, mat in exact.items()},
     }
-    text = report.render_json(payload)
+    text = data = report.render_json(payload)
     if args.format == "text":
         lines = [f"degree {args.degree}  dimension {space.dim}"]
         for i, mono in enumerate(payload["basis"]):
@@ -183,7 +189,7 @@ def cmd_repr_table(args) -> int:
     sys.stdout.write(text)
     out = _resolve_out(args.out)
     if out:
-        report.write_report(out, payload)
+        report.write_report(out, data)
     return 0
 
 
@@ -215,6 +221,7 @@ def cmd_repr_homomorphism(args) -> int:
 # fock subcommands
 # ----------------------------------------------------------------------
 def cmd_fock_car(args) -> int:
+    from . import fock
     reports_list = fock.verify_car(args.modes,
                                    include_printed_variant=args.printed_variant)
     return _emit(reports_list, _resolve_out(args.out), args.format,
@@ -222,6 +229,7 @@ def cmd_fock_car(args) -> int:
 
 
 def cmd_fock_antisym(args) -> int:
+    from . import fock
     labels = list(args.labels)
     if not labels:
         raise ValueError("fock antisym needs at least one label")
@@ -235,6 +243,7 @@ def cmd_fock_antisym(args) -> int:
 # simulators
 # ----------------------------------------------------------------------
 def cmd_sim_branch(args) -> int:
+    from . import branching
     with open(args.scenario, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("params") or {}, dict):
@@ -251,6 +260,7 @@ def cmd_sim_branch(args) -> int:
 
 
 def cmd_collapse_run(args) -> int:
+    from . import collapse
     probs = [float(tok) for tok in args.amps.split(",")]
     cfg = collapse.CollapseConfig.from_probs(
         probs, args.scheme, args.runs, args.seed,
@@ -265,10 +275,11 @@ def cmd_collapse_run(args) -> int:
         "pass": born.passed,
         "nonconverged_count": summary.nonconverged,
     }
-    sys.stdout.write(report.render_json(payload))
+    text = report.render_json(payload)  # a refused value prints nothing
+    sys.stdout.write(text)
     out = _resolve_out(args.out)
     if out:
-        report.write_report(out, payload)
+        report.write_report(out, text)
     return 0 if born.passed else 2
 
 
@@ -393,7 +404,7 @@ def build_parser() -> Parser:
     csub = col.add_subparsers(dest="collapse_command", required=True,
                               parser_class=Parser)
     p = csub.add_parser("run")
-    p.add_argument("--scheme", choices=list(collapse.SCHEMES), required=True)
+    p.add_argument("--scheme", choices=SCHEMES, required=True)
     p.add_argument("--amps", required=True,
                    help="branch weights |a_k|^2, comma separated (normalized)")
     p.add_argument("--runs", type=int, default=10_000)

@@ -218,9 +218,22 @@ class FockState:
                              for m in range(self.modes)) + ">"
 
 
-def _parity_below(bits: int, mode: int) -> int:
-    below = bits & ((1 << mode) - 1)
-    return -1 if below.bit_count() % 2 else 1
+def _parity_below(bits, mode: int):
+    """(-1)^(occupied modes below ``mode``): an XOR fold of the low bits.
+
+    ``bits`` is one bit pattern (the result is an int) or an integer array
+    of them (the result is an array of signs)."""
+    odd = 0
+    for m in range(mode):
+        odd ^= bits >> m
+    return 1 - 2 * (odd & 1)
+
+
+def _check_ladder(modes: int, which: str, mode: int) -> None:
+    if not 0 <= mode < modes:
+        raise IndexError(f"mode {mode} out of range")
+    if which not in ("create", "annihilate"):
+        raise ValueError(f"unknown ladder kind: {which}")
 
 
 def apply_ladder(state: FockState, which: str, mode: int
@@ -230,10 +243,7 @@ def apply_ladder(state: FockState, which: str, mode: int
     Returns (sign, new state) with sign = (-1)^(occupied modes below), or
     None when the action annihilates the state.
     """
-    if not 0 <= mode < state.modes:
-        raise IndexError(f"mode {mode} out of range")
-    if which not in ("create", "annihilate"):
-        raise ValueError(f"unknown ladder kind: {which}")
+    _check_ladder(state.modes, which, mode)
     if state.occupied(mode) == (which == "create"):
         return None
     return _parity_below(state.bits, mode), FockState(state.modes,
@@ -252,24 +262,31 @@ class SignedMap(NamedTuple):
 
 
 def ladder_matrix(modes: int, which: str, mode: int) -> SignedMap:
-    """One ladder operator on the 2^M basis, filled from ``apply_ladder``."""
-    target, sign = np.zeros((2, 1 << modes), dtype=np.int64)
-    for bits in range(1 << modes):
-        moved = apply_ladder(FockState(modes, bits), which, mode)
-        if moved is not None:
-            sign[bits], target[bits] = moved[0], moved[1].bits
-    return SignedMap(target, sign)
+    """One ladder operator on the 2^M basis: ``apply_ladder`` on every basis
+    state at once, with array bit operations."""
+    _check_ladder(modes, which, mode)
+    basis = np.arange(1 << modes, dtype=np.int64)
+    acts = ((basis >> mode) & 1) == (which == "annihilate")
+    return SignedMap(basis ^ (1 << mode),
+                     np.where(acts, _parity_below(basis, mode), 0))
 
 
 def _nonzero_entries(maps: Sequence[SignedMap]) -> np.ndarray:
-    """Nonzero entries of the sum of the maps, summed per cell row*dim + col."""
-    dim = len(maps[0].target)
-    cells = np.concatenate([m.target * dim + np.arange(dim) for m in maps])
-    signs = np.concatenate([m.sign for m in maps])
-    cells, index = np.unique(cells, return_inverse=True)
-    total = (np.bincount(index[signs > 0], minlength=len(cells))
-             - np.bincount(index[signs < 0], minlength=len(cells)))
-    return total[total != 0]
+    """Nonzero entries of the sum of the maps, in no set order.
+
+    Each map holds at most one entry per column, so two maps share a cell
+    exactly where their targets agree in that column: each cell is summed
+    at the first map that holds it."""
+    unsummed = [m.sign != 0 for m in maps]
+    parts = []
+    for k, m in enumerate(maps):
+        total = np.where(unsummed[k], m.sign, 0)
+        for later, left in zip(maps[k + 1:], unsummed[k + 1:]):
+            shared = unsummed[k] & left & (later.target == m.target)
+            total += np.where(shared, later.sign, 0)
+            left &= ~shared  # in place: not summed again at ``later``
+        parts.append(total[total != 0])
+    return np.concatenate(parts)
 
 
 def verify_car(modes: int, include_printed_variant: bool = False

@@ -105,7 +105,8 @@ def render_text(reports: Iterable[RelationReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(path: str, payload: dict) -> None:
-    text = render_json(payload)  # before opening: a refused value leaves no file
+def write_report(path: str, text: str) -> None:
+    """Write a report that ``render_json`` has already rendered: rendering
+    first means a refused value leaves no file."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -361,6 +361,41 @@ def test_collapse_run_bad_input_exits_one(extra, tmp_path, capsys):
     assert not out_file.exists()
 
 
+COLLAPSE_SMALL = ["collapse", "run", "--scheme", "nonlinear_ruin", "--amps", "0.3,0.7",
+                  "--runs", "200", "--seed", "7", "--steps", "5000"]
+
+
+def test_collapse_report_is_rendered_once(tmp_path, capsys, monkeypatch):
+    rendered = []
+    render_json = report.render_json
+    monkeypatch.setattr(report, "render_json",
+                        lambda payload: rendered.append(payload) or render_json(payload))
+    out_file = tmp_path / "ruin.json"
+    code, out, _ = run_cli(COLLAPSE_SMALL + ["--out", str(out_file)], capsys)
+    assert code == 0
+    assert len(rendered) == 1
+    assert out_file.read_text(encoding="utf-8") == out
+
+
+def test_collapse_refused_value_prints_nothing_and_leaves_no_file(tmp_path, capsys,
+                                                                  monkeypatch):
+    from linqm import collapse
+    born_test = collapse.born_test
+
+    def nan_chi2(summary, amplitudes):
+        born = born_test(summary, amplitudes)
+        born.chi2 = float("nan")
+        return born
+
+    monkeypatch.setattr(collapse, "born_test", nan_chi2)
+    out_file = tmp_path / "nan.json"
+    code, out, err = run_cli(COLLAPSE_SMALL + ["--out", str(out_file)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("linqm: error: ")
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("matrix", [
     [[0, [0.1, 0]], [[-0.1, 0], 0]],
     [[0, True], [-1, 0]],
@@ -444,17 +479,47 @@ def test_empty_reports_payload_does_not_pass():
     assert report.reports_payload([])["pass"] is False
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    """scipy.stats would take most of each command's start-up time, and
-    scipy.sparse is not needed: ladder operators are signed permutations."""
+def _fresh_python(code, *args, cwd=None):
+    """Run ``code`` in a new interpreter that imports linqm from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = ("import sys, linqm.cli; "
-             "print('scipy.stats' in sys.modules, 'scipy.sparse' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, timeout=120, check=True)
-    assert result.stdout.split() == ["False", "False"]
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=300, check=True)
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    """scipy.stats would take most of each command's start-up time, and
+    scipy.sparse is not needed: ladder operators are signed permutations.
+    numpy and scipy load only when a simulator command runs."""
+    probe = ("import sys, linqm.cli; print(*(m in sys.modules for m in "
+             "('scipy.stats', 'scipy.sparse', 'numpy', 'scipy')))")
+    assert _fresh_python(probe).stdout.split() == ["False"] * 4
+
+
+def test_exact_commands_never_load_numpy(tmp_path):
+    """Every README verify, repr and report command, run in one process,
+    leaves numpy and scipy unloaded: the exact path needs no float library."""
+    commands = [shlex.split(line)[1:] for line in _readme_commands()]
+    commands = [argv for argv in commands if argv[0] in ("verify", "repr", "report")]
+    probe = ("import contextlib, io, json, sys\n"
+             "from linqm import cli\n"
+             "argvs = [['verify', 'lie', '--out', 'report.json']] + json.loads(sys.argv[1])\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [cli.main(argv) for argv in argvs]\n"
+             "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+             "                                if m.split('.')[0] in ('numpy', 'scipy'))]))\n")
+    codes, loaded = json.loads(_fresh_python(probe, json.dumps(commands), cwd=tmp_path).stdout)
+    assert {argv[0] for argv in commands} == {"verify", "repr", "report"}
+    assert len(codes) == len(commands) + 1 and set(codes) <= {0, 2}
+    assert loaded == []
+
+
+def test_scheme_choices_follow_collapse():
+    """``collapse run --scheme`` lists its choices without importing collapse."""
+    from linqm import collapse
+    assert cli.SCHEMES == collapse.SCHEMES
+    assert _parser_choices(["collapse", "run"], "scheme") == collapse.SCHEMES
 
 
 def test_report_dir_env(tmp_path, capsys, monkeypatch):

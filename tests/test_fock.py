@@ -4,6 +4,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linqm import fock, oplib
 from linqm.report import all_passed
@@ -152,7 +154,7 @@ def as_dense(signed):
     return mat
 
 
-@pytest.mark.parametrize("modes", [1, 2, 3])
+@pytest.mark.parametrize("modes", [1, 2, 3, 6])
 def test_signed_maps_match_dense_matrices(modes):
     dim = 1 << modes
     kinds = [(which, m) for which in ("create", "annihilate") for m in range(modes)]
@@ -165,7 +167,36 @@ def test_signed_maps_match_dense_matrices(modes):
         assert np.array_equal(as_dense(xy), as_dense(ops[x]) @ as_dense(ops[y]))
         for maps in ([xy, yx], [xy, yx, minus_identity]):
             total = sum(as_dense(m) for m in maps)
-            assert np.array_equal(fock._nonzero_entries(maps), total[total != 0])
+            assert np.array_equal(np.sort(fock._nonzero_entries(maps)),
+                                  np.sort(total[total != 0]))
+
+
+@st.composite
+def signed_maps(draw):
+    """1-3 signed maps on one dimension; sign 0 marks an empty column."""
+    dim = draw(st.integers(1, 12))
+    column = st.tuples(st.integers(0, dim - 1), st.sampled_from([-1, 0, 0, 1]))
+    maps = []
+    for _ in range(draw(st.integers(1, 3))):
+        target, sign = zip(*draw(st.lists(column, min_size=dim, max_size=dim)))
+        maps.append(fock.SignedMap(np.array(target, dtype=np.int64),
+                                   np.array(sign, dtype=np.int64)))
+    return maps
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_maps())
+def test_nonzero_entries_match_a_dense_sum(maps):
+    dim = len(maps[0].target)
+    dense = np.zeros((dim, dim), dtype=np.int64)
+    for m in maps:
+        np.add.at(dense, (m.target, np.arange(dim)), m.sign)
+    expected = dense[dense != 0]
+    got = fock._nonzero_entries(maps)
+    assert np.array_equal(np.sort(got), np.sort(expected))
+    assert got.size == expected.size
+    if got.size:
+        assert abs(got).max() == abs(expected).max()
 
 
 def test_number_operator_counts_occupation():

@@ -30,6 +30,13 @@ SCHEMES = ("linear_drift", "linear_noise", "nonlinear_ruin")
 # elements' matrices and one product at the chosen degree.
 MAX_PAIRS = 50
 
+# Site counts (--n) the verify commands accept.  At 256 sites the slowest
+# set of the commutator, hermiticity, invariance and translation-flow suites
+# takes about 2 s on a 2-vCPU machine; the spacetime suite grows about as
+# n^4 and takes 7-9 s at 12.  The size of an --eta file is its site count.
+MAX_SITES = 256
+MAX_SPACETIME_SITES = 12
+
 
 class Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 1 on usage problems, not 2
@@ -68,6 +75,12 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
+def _check_sites(n: int, cap: int) -> int:
+    if n > cap:
+        raise ValueError(f"{n} sites exceed the cap of {cap} for this command")
+    return n
+
+
 def _exact(x) -> Scalar:
     """One --x token or --eta cell: an integer, a string Fraction reads
     ("3", "-2/5", "1.25"), or an [re, im] pair of those.  Exponents are
@@ -89,7 +102,7 @@ def _exact(x) -> Scalar:
 # verify subcommands
 # ----------------------------------------------------------------------
 def cmd_verify_lie(args) -> int:
-    opset = oplib.build_operators(args.set, n=args.n)
+    opset = oplib.build_operators(args.set, n=_check_sites(args.n, MAX_SITES))
     table = oplib.OPERATOR_SETS[args.set].table()
     reports_list = oplib.verify_commutator_table(opset, table)
     return _emit(reports_list, _resolve_out(args.out), args.format,
@@ -97,14 +110,14 @@ def cmd_verify_lie(args) -> int:
 
 
 def cmd_verify_hermiticity(args) -> int:
-    opset = oplib.build_operators(args.set, n=args.n)
+    opset = oplib.build_operators(args.set, n=_check_sites(args.n, MAX_SITES))
     reports_list = oplib.verify_hermiticity(opset)
     return _emit(reports_list, _resolve_out(args.out), args.format,
                  {"set": args.set, "n": args.n})
 
 
 def cmd_verify_invariance(args) -> int:
-    target_set = oplib.build_operators(args.target, n=args.n)
+    target_set = oplib.build_operators(args.target, n=_check_sites(args.n, MAX_SITES))
     target = target_set["O"]
     gens = oplib.build_operators(args.gens, n=args.n)
     reports_list = oplib.verify_invariance(target, gens, target_name=args.target)
@@ -126,14 +139,17 @@ def cmd_verify_spacetime(args) -> int:
             raw = json.load(fh)
         if not (isinstance(raw, list) and all(isinstance(row, list) for row in raw)):
             raise ValueError(f"{args.eta}: eta must be a JSON list of rows")
+        _check_sites(len(raw), MAX_SPACETIME_SITES)
         eta = [[_exact(x) for x in row] for row in raw]
-    elif args.random_eta is not None:
-        eta = oplib.random_eta(args.n, args.random_eta)
     else:
-        eta = [[Scalar(0) for _ in range(args.n)] for _ in range(args.n)]
-        if args.n >= 2:
-            eta[0][1] = Scalar(1)
-            eta[1][0] = Scalar(-1)
+        _check_sites(args.n, MAX_SPACETIME_SITES)
+        if args.random_eta is not None:
+            eta = oplib.random_eta(args.n, args.random_eta)
+        else:
+            eta = [[Scalar(0) for _ in range(args.n)] for _ in range(args.n)]
+            if args.n >= 2:
+                eta[0][1] = Scalar(1)
+                eta[1][0] = Scalar(-1)
     st = oplib.build_spacetime_map(eta, reading=args.reading)
     pset = oplib.translation_generators(
         len(eta), reconstructed=args.reconstructed)
@@ -147,7 +163,7 @@ def cmd_verify_translation_flow(args) -> int:
     xs = [_exact(tok) for tok in args.x.split(",")]
     if len(xs) != 4:
         raise ValueError("--x needs four comma-separated rationals")
-    pset = oplib.build_operators(args.set, n=args.n)
+    pset = oplib.build_operators(args.set, n=_check_sites(args.n, MAX_SITES))
     reports_list = oplib.translation_flow_check(pset, xs)
     return _emit(reports_list, _resolve_out(args.out), args.format,
                  {"set": args.set, "x": args.x})

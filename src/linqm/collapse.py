@@ -35,11 +35,16 @@ LINEAR_SCHEMES = ("linear_drift", "linear_noise")
 SCHEMES = LINEAR_SCHEMES + ("nonlinear_ruin",)
 
 # Size caps: the schemes hold arrays of runs by outcomes, a linear run one
-# of steps by outcomes, and the work grows as runs x steps.  A configuration
-# past these is refused rather than left to fail inside numpy.
+# of steps by outcomes, and a ruin block one of up to _RUIN_BLOCK (steps x
+# rows) cells per outcome; the work grows as runs x steps.  At the outcome
+# caps an accepted configuration peaked at 240 MB (linear, 31,250 steps) to
+# 620 MB (ruin, 100,000 runs).  A configuration past these is refused rather
+# than left to fail inside numpy.
 MAX_RUNS = 100_000
 MAX_STEPS = 1_000_000
 MAX_RUN_STEPS = 2 * 10**9
+MAX_OUTCOMES = 128
+MAX_OUTCOME_STEPS = 4 * 10**6
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,10 @@ class CollapseConfig:
                              f"at most {MAX_STEPS:,}")
         if self.runs * self.steps > MAX_RUN_STEPS:
             raise ValueError(f"runs x steps must be at most {MAX_RUN_STEPS:,}")
+        if self.n > MAX_OUTCOMES:
+            raise ValueError(f"at most {MAX_OUTCOMES} outcomes, got {self.n:,}")
+        if self.n * self.steps > MAX_OUTCOME_STEPS:
+            raise ValueError(f"outcomes x steps must be at most {MAX_OUTCOME_STEPS:,}")
 
     @property
     def n(self) -> int:

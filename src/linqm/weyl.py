@@ -28,7 +28,12 @@ normal ordering of two terms (``_compose``) and the sort key and text of
 each half of a term key (``_half_text``) are memoized, each in a cache
 bounded at ``COMPOSE_CACHE_SIZE`` entries.  ``commutator`` is its own
 kernel: it adds only the contraction terms of both orders, so the terms
-that cancel in ``a*b - b*a`` are never built.
+that cancel in ``a*b - b*a`` are never built.  It indexes the right
+operand's terms by the variable ids of their multiplications and of their
+derivatives, and pairs each left term only with the terms that share a
+variable it can contract with, so terms on different sites are never
+paired.  Partners are visited in the right operand's term order, so the
+result is dict-identical to the one the walk over every pair builds.
 
 Text form (documented in docs/operator-text-format.md): a sum of terms
 ``(coeff)*var^k*...*d[var]^m*...`` where a variable prints as its family
@@ -361,21 +366,38 @@ class DiffOp:
         same key with factor 1, so only the contraction terms of each order
         enter, with signs +1 and -1.  The no-contraction term is never built,
         so a pair whose product would pass ``MAX_EXPONENT`` still commutes
-        exactly.  An order whose left derivatives or right multiplications
-        are empty has no contraction terms, so a pair where both orders are
-        such adds nothing.
+        exactly.
+
+        An order contracts only where a left derivative meets a right
+        multiplication of the same variable, so a pair that shares no such
+        variable in either order adds nothing.  ``other``'s terms are
+        indexed by the variable ids of their multiplications and of their
+        derivatives, and each term of ``self`` walks only its partners: the
+        terms whose multiplications share an id with its derivatives, and
+        those whose derivatives share an id with its multiplications.
+        Partners are visited in ``other``'s term order, so the pairs that
+        contribute arrive in the order of the full pair walk, and the result
+        is dict-identical to it: the same keys in the same insertion order.
         """
+        items = list(other._num.items())
+        by_mult: dict[int, list[int]] = {}
+        by_deriv: dict[int, list[int]] = {}
+        for j, ((m2, d2), _) in enumerate(items):
+            for i, _ in m2:
+                by_mult.setdefault(i, []).append(j)
+            for i, _ in d2:
+                by_deriv.setdefault(i, []).append(j)
         acc: Numerators = {}
         for (m1, d1), (a1, b1) in self._num.items():
-            for (m2, d2), (a2, b2) in other._num.items():
-                ab, ba = d1 and m2, d2 and m1
-                if not (ab or ba):
-                    continue
+            ab = {j for i, _ in d1 for j in by_mult.get(i, ())}
+            ba = {j for i, _ in m1 for j in by_deriv.get(i, ())}
+            for j in sorted(ab | ba):
+                (m2, d2), (a2, b2) = items[j]
                 re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-                for f, key in _compose(m1, d1, m2, d2, True) if ab else ():
+                for f, key in _compose(m1, d1, m2, d2, True) if j in ab else ():
                     r, i = acc.get(key, (0, 0))
                     acc[key] = (r + f * re, i + f * im)
-                for f, key in _compose(m2, d2, m1, d1, True) if ba else ():
+                for f, key in _compose(m2, d2, m1, d1, True) if j in ba else ():
                     r, i = acc.get(key, (0, 0))
                     acc[key] = (r - f * re, i - f * im)
         return _make(self._den * other._den, acc)

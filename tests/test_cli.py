@@ -186,6 +186,38 @@ def test_repr_sizes_past_the_caps_are_usage_errors(args, capsys):
     assert err.startswith("linqm: error: ")
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "lie", "--set", "xyz", "--n", "257"],  # cli.MAX_SITES
+    ["verify", "hermiticity", "--set", "su2", "--n", "257"],
+    ["verify", "invariance", "--n", "257"],
+    ["verify", "translation-flow", "--n", "257"],
+    ["verify", "spacetime", "--n", "13"],  # cli.MAX_SPACETIME_SITES
+])
+def test_verify_site_counts_past_the_caps_are_usage_errors(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("linqm: error: ")
+
+
+def test_spacetime_eta_file_past_the_site_cap_is_a_usage_error(tmp_path, capsys):
+    n = cli.MAX_SPACETIME_SITES + 1
+    eta = [["0"] * n for _ in range(n)]
+    eta[0][1], eta[1][0] = "1", "-1"
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps(eta))
+    code, out, err = run_cli(["verify", "spacetime", "--eta", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("linqm: error: ")
+
+
+def test_verify_site_counts_at_the_caps_are_accepted(capsys):
+    assert run_cli(["verify", "lie", "--set", "xyz", "--n", "256"], capsys)[0] == 0
+    # the printed translations fail their [P2,x] relations, so this exits 2
+    assert run_cli(["verify", "spacetime", "--n", "12"], capsys)[0] == 2
+
+
 def test_repr_sizes_at_the_caps_are_accepted(capsys):
     assert run_cli(["repr", "table", "--degree", "32"], capsys)[0] == 0
     assert run_cli(["repr", "homomorphism", "--degree", "0", "--pairs", "50"],
@@ -350,6 +382,8 @@ def test_collapse_run_cli(tmp_path, capsys):
     ["--amps", "0.5,0.5", "--runs", "100001"],  # collapse.MAX_RUNS
     ["--amps", "0.5,0.5", "--steps", "1000001"],  # collapse.MAX_STEPS
     ["--amps", "0.5,0.5", "--runs", "40000", "--steps", "60000"],  # MAX_RUN_STEPS
+    ["--amps", ",".join(["1"] * 20_000), "--steps", "1"],  # collapse.MAX_OUTCOMES
+    ["--amps", "1,1,1,1,1", "--runs", "1", "--steps", "800001"],  # MAX_OUTCOME_STEPS
 ])
 def test_collapse_run_bad_input_exits_one(extra, tmp_path, capsys):
     out_file = tmp_path / "bad.json"

@@ -44,6 +44,24 @@ def test_config_rejects_nan_amplitude():
         collapse.CollapseConfig((complex("nan"), 1.0 + 0j), "nonlinear_ruin", 10, 0)
 
 
+@pytest.mark.parametrize("outcomes,steps", [
+    (20_000, 1_000_000),  # a linear run would hold 149 GiB per array
+    (129, 1),  # MAX_OUTCOMES
+    (5, 800_001),  # MAX_OUTCOME_STEPS
+])
+@pytest.mark.parametrize("scheme", collapse.SCHEMES)
+def test_config_refuses_outcome_sizes_past_the_caps(outcomes, steps, scheme):
+    # refused while the configuration is built, before any scheme runs
+    with pytest.raises(ValueError, match="outcomes"):
+        cfg_probs([1.0] * outcomes, scheme, 1, 1, steps=steps)
+
+
+def test_config_accepts_outcome_sizes_at_the_caps():
+    cfg_probs([1.0] * collapse.MAX_OUTCOMES, "linear_noise", 1, 1,
+              steps=collapse.MAX_OUTCOME_STEPS // collapse.MAX_OUTCOMES)
+    cfg_probs([1.0] * 4, "nonlinear_ruin", 1, 1, steps=collapse.MAX_STEPS)
+
+
 # ----------------------------------------------------------------------
 # linear schemes: coefficient blindness
 # ----------------------------------------------------------------------

@@ -85,10 +85,72 @@ def test_adjoint_is_involutive_antihomomorphism(a, b):
     assert (a * b).adjoint() == b.adjoint() * a.adjoint()
 
 
+def _site_pool(site: int) -> list[Var]:
+    u = Var("u", site=site)
+    return [u, Var("v", site=site), u.conj(), Var("x", site=site, real=True)]
+
+
+@st.composite
+def site_terms(draw):
+    """One term on one of sites 1-6, as ``_doublet_sum`` builds them; about
+    half also touch one of their variables from both sides."""
+    pool = st.sampled_from(_site_pool(draw(st.integers(1, 6))))
+    site_powers = st.lists(st.tuples(pool, st.integers(1, 2)), max_size=2)
+    mults, derivs = draw(site_powers), draw(site_powers)
+    if draw(st.booleans()):
+        both = draw(pool)
+        mults, derivs = mults + [(both, 1)], derivs + [(both, 1)]
+    return DiffOp.term(draw(scalars), mults, derivs)
+
+
+# Operators over sites 1-6, so most term pairs share no variable: sums of up
+# to 12 single-site terms, and copies of one site-1 operator on sites 1-k,
+# summed as ``_doublet_sum`` sums generators, whose contracting partners sit
+# in runs far into the other operator's term order.
+site_operators = st.one_of(
+    st.lists(site_terms(), min_size=1, max_size=12).map(DiffOp.sum),
+    st.builds(lambda op, k: DiffOp.sum(op.map_sites({1: s}) for s in range(1, k + 1)),
+              operators(), st.integers(2, 6)))
+any_operators = st.one_of(operators(), site_operators)
+
+
+def _reference_commutator(a: DiffOp, b: DiffOp) -> DiffOp:
+    """The kernel that walked every pair of terms, kept as the oracle for the
+    indexed kernel's result and for the insertion order of its terms."""
+    acc = {}
+    for (m1, d1), (a1, b1) in a._num.items():
+        for (m2, d2), (a2, b2) in b._num.items():
+            re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            for f, key in weyl._compose(m1, d1, m2, d2, True):
+                weyl._add_to(acc, key, f * re, f * im)
+            for f, key in weyl._compose(m2, d2, m1, d1, True):
+                weyl._add_to(acc, key, -f * re, -f * im)
+    return weyl._make(a._den * b._den, acc)
+
+
 @settings(max_examples=80, deadline=None)
-@given(operators(), operators())
+@given(any_operators, any_operators)
 def test_commutator_matches_difference_of_products(a, b):
     assert a.commutator(b) == a * b - b * a
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_operators, any_operators)
+def test_commutator_is_dict_identical_to_the_full_pair_walk(a, b):
+    got, want = a.commutator(b), _reference_commutator(a, b)
+    assert list(got._num.items()) == list(want._num.items())
+    assert got._den == want._den
+
+
+@settings(max_examples=40, deadline=None)
+@given(site_operators)
+def test_operators_on_disjoint_sites_commute_without_composing(a):
+    b = a.map_sites({site: site + 6 for site in range(1, 7)})
+    before = weyl._compose.cache_info()
+    assert a.commutator(b).is_zero
+    assert b.commutator(a).is_zero
+    after = weyl._compose.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
 
 
 unit_lower = st.builds(

@@ -30,6 +30,11 @@ SCHEMES = ("linear_drift", "linear_noise", "nonlinear_ruin")
 # elements' matrices and one product at the chosen degree.
 MAX_PAIRS = 50
 
+# Exact unitary substitutions one ``verify invariance`` call checks.  Each
+# costs under 1 ms on the laplacian and 50-85 ms on the oscillator at --n
+# 256, where 100 take 5-9 s on a 2-vCPU machine, as spacetime does at its cap.
+MAX_UNITARIES = 100
+
 # Site counts (--n) the verify commands accept.  At 256 sites the slowest
 # set of the commutator, hermiticity, invariance and translation-flow suites
 # takes about 2 s on a 2-vCPU machine; the spacetime suite grows about as
@@ -117,6 +122,9 @@ def cmd_verify_hermiticity(args) -> int:
 
 
 def cmd_verify_invariance(args) -> int:
+    if args.finite_unitaries > MAX_UNITARIES:
+        raise ValueError(f"{args.finite_unitaries} unitaries exceed "
+                         f"the cap of {MAX_UNITARIES}")
     target_set = oplib.build_operators(args.target, n=_check_sites(args.n, MAX_SITES))
     target = target_set["O"]
     gens = oplib.build_operators(args.gens, n=args.n)

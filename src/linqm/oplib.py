@@ -4,7 +4,7 @@ Operator sets built here (``OPERATOR_SETS`` names each one, with how it is
 built from the site count and the commutator table it closes under):
 
 * ``xyz``          rotation generators in three real variables
-* ``su2``          spin generators in two complex variables (X + X* form)
+* ``su2``          spin generators in two complex variables, the lifts of sigma/2
 * ``laplacian``    the two-variable complex Laplacian d/du d/du~ + d/dv d/dv~
 * ``oscillator``   the pairing operator in slotted variables u[b,i], v[b,i]
 * ``lorentz``      boost/rotation generators J1..J3, K1..K3 over both slots
@@ -81,6 +81,36 @@ def _mono(coeff: ScalarLike, var: Var, dvar: Var) -> DiffOp:
     return DiffOp.term(coeff, [(var, 1)], [(dvar, 1)])
 
 
+def _lift(matrix: Sequence[Sequence[ScalarLike]],
+          copies: Iterable[tuple[Sequence[Var], Sequence[Var]]]) -> DiffOp:
+    """The first-order operator of a matrix on copies of a variable tuple.
+
+    Each copy (xs, ys) adds M[j][k] xs[j] d/dys[k] and its conjugate part
+    -conj(M[j][k]) xs[j]~ d/dys[k]~; zero entries add nothing.  With
+    xs = ys this is the matrix acting on the copy: lifts then commute as
+    [lift A, lift B] = i lift(-i[A, B]), and lift M is self-adjoint
+    exactly when the trace of M is real.
+    """
+    entries = [(j, k, c, -c.conjugate()) for j, row in enumerate(matrix)
+               for k, c in enumerate(map(Scalar.of, row)) if not c.is_zero]
+    return DiffOp.sum(term for xs, ys in copies for j, k, c, c_bar in entries
+                      for term in (_mono(c, xs[j], ys[k]),
+                                   _mono(c_bar, xs[j].conj(), ys[k].conj())))
+
+
+def pauli_matrices() -> list[list[list[Scalar]]]:
+    return [
+        [[ZERO, ONE], [ONE, ZERO]],
+        [[ZERO, -I], [I, ZERO]],
+        [[ONE, ZERO], [ZERO, -ONE]],
+    ]
+
+
+# sigma_a / 2: the matrices the su2 and Lorentz sets lift, and the sun set's taus.
+HALF_SIGMA = [[[x * gaussian(1, 0, 2) for x in row] for row in m]
+              for m in pauli_matrices()]
+
+
 # ----------------------------------------------------------------------
 # named sets
 # ----------------------------------------------------------------------
@@ -129,13 +159,8 @@ def rotation_generators() -> NamedOperatorSet:
 
 
 def spin_generators() -> NamedOperatorSet:
-    """Spin generators in u, v: each is X + adjoint(X), hermitian by construction."""
-    half = gaussian(1, 0, 2)
-    ihalf = I * half
-    sx = _mono(half, U, V) + _mono(half, V, U)
-    sy = _mono(ihalf, V, U) - _mono(ihalf, U, V)
-    sz = _mono(half, U, U) - _mono(half, V, V)
-    ops = {"Sx": sx + sx.adjoint(), "Sy": sy + sy.adjoint(), "Sz": sz + sz.adjoint()}
+    """Spin generators S_a: the lifts of sigma_a/2 on the doublet (u, v)."""
+    ops = {f"S{axis}": _lift(m, [((U, V), (U, V))]) for axis, m in zip("xyz", HALF_SIGMA)}
     return NamedOperatorSet("su2", ops)
 
 
@@ -161,104 +186,66 @@ def oscillator(n: int = 1) -> NamedOperatorSet:
     return NamedOperatorSet("oscillator", {"O": DiffOp.sum(terms)}, sites=n)
 
 
-def _doublet_sum(n: int, build: Callable[[Var, Var, Var, Var], DiffOp]) -> DiffOp:
-    """Sum build(u, v, u~, v~) over both slots and all sites."""
-    pairs = [(uvar(b, i), vvar(b, i)) for b in (1, 2) for i in range(1, n + 1)]
-    return DiffOp.sum(build(u, v, u.conj(), v.conj()) for u, v in pairs)
-
-
 def lorentz_generators(n: int = 1) -> NamedOperatorSet:
-    """Rotation (J) and boost (K) generators summed over both slots."""
-    h = gaussian(1, 0, 2)
-    ih = I * h
+    """Rotation (J) and boost (K) generators: the lifts of sigma_a/2 and of
+    i*sigma_a/2 on the doublet (u[b,i], v[b,i]) of both slots and every site."""
+    doublets = [(d, d) for d in ((uvar(b, i), vvar(b, i))
+                                 for b in (1, 2) for i in range(1, n + 1))]
+    ops = {f"{name}{a}": _lift([[f * x for x in row] for row in m], doublets)
+           for name, f in (("J", ONE), ("K", I)) for a, m in enumerate(HALF_SIGMA, 1)}
+    return NamedOperatorSet("lorentz", ops, sites=n)
 
-    j1 = _doublet_sum(n, lambda u, v, uc, vc:
-                      _mono(h, u, v) + _mono(h, v, u) - _mono(h, uc, vc) - _mono(h, vc, uc))
-    j2 = _doublet_sum(n, lambda u, v, uc, vc:
-                      -_mono(ih, u, v) + _mono(ih, v, u) - _mono(ih, uc, vc) + _mono(ih, vc, uc))
-    j3 = _doublet_sum(n, lambda u, v, uc, vc:
-                      _mono(h, u, u) - _mono(h, v, v) - _mono(h, uc, uc) + _mono(h, vc, vc))
-    k1 = _doublet_sum(n, lambda u, v, uc, vc:
-                      _mono(ih, u, v) + _mono(ih, v, u) + _mono(ih, uc, vc) + _mono(ih, vc, uc))
-    k2 = _doublet_sum(n, lambda u, v, uc, vc:
-                      _mono(h, u, v) - _mono(h, v, u) - _mono(h, uc, vc) + _mono(h, vc, uc))
-    k3 = _doublet_sum(n, lambda u, v, uc, vc:
-                      _mono(ih, u, u) - _mono(ih, v, v) + _mono(ih, uc, uc) - _mono(ih, vc, vc))
-    return NamedOperatorSet(
-        "lorentz", {"J1": j1, "J2": j2, "J3": j3, "K1": k1, "K2": k2, "K3": k3}, sites=n)
+
+# P0..P3 lift these from the slot-1 doublet to the conjugated slot-2 doublet.
+# This P2 is the reconstructed one; the printed set uses i*P1 in its place.
+TRANSLATION_MATRICES = {
+    "P0": [[ZERO, ONE], [-ONE, ZERO]],
+    "P1": [[-ONE, ZERO], [ZERO, ONE]],
+    "P2": [[I, ZERO], [ZERO, I]],
+    "P3": [[ZERO, ONE], [ONE, ZERO]],
+}
 
 
 def translation_generators(n: int = 1, reconstructed: bool = False) -> NamedOperatorSet:
-    """Slot-1 times d(slot-2) generators P0..P3.
+    """Slot-1 times d(slot-2) generators P0..P3, lifted from TRANSLATION_MATRICES.
 
     As printed, P2 = i*P1, which is anti-hermitian and linearly dependent;
-    the reconstructed variant instead uses the hermitian partner that
-    completes the four-vector pattern (matrices eps*sigma_mu acting on the
-    conjugated slot-1 doublet).  The reconstructed set is labeled as such
-    and is not presented as the printed one.
+    the reconstructed variant uses the lift of i times the identity, the
+    hermitian partner that completes the four-vector pattern.  That set is
+    labeled as such and is not presented as the printed one.
     """
-    sites = [(uvar(1, i), vvar(1, i), uvar(2, i), vvar(2, i)) for i in range(1, n + 1)]
-    p0 = DiffOp.sum(t for u1, v1, u2, v2 in sites for t in (
-        _mono(ONE, u1, v2.conj()), _mono(-ONE, v1, u2.conj()),
-        _mono(-ONE, u1.conj(), v2), _mono(ONE, v1.conj(), u2)))
-    p1 = DiffOp.sum(t for u1, v1, u2, v2 in sites for t in (
-        _mono(-ONE, u1, u2.conj()), _mono(ONE, v1, v2.conj()),
-        _mono(ONE, u1.conj(), u2), _mono(-ONE, v1.conj(), v2)))
-    p3 = DiffOp.sum(t for u1, v1, u2, v2 in sites for t in (
-        _mono(ONE, u1, v2.conj()), _mono(ONE, v1, u2.conj()),
-        _mono(-ONE, u1.conj(), v2), _mono(-ONE, v1.conj(), u2)))
-    p2r = DiffOp.sum(t for u1, v1, u2, v2 in sites for t in (
-        _mono(I, u1, u2.conj()), _mono(I, v1, v2.conj()),
-        _mono(I, u1.conj(), u2), _mono(I, v1.conj(), v2)))
+    copies = [((uvar(1, i), vvar(1, i)), (uvar(2, i, True), vvar(2, i, True)))
+              for i in range(1, n + 1)]
+    ops = {label: _lift(m, copies) for label, m in TRANSLATION_MATRICES.items()}
     if reconstructed:
-        ops = {"P0": p0, "P1": p1, "P2": p2r, "P3": p3}
         return NamedOperatorSet("translations-reconstructed", ops, sites=n)
-    ops = {"P0": p0, "P1": p1, "P2": p1.scale(I), "P3": p3}
+    ops["P2"] = ops["P1"].scale(I)
     return NamedOperatorSet("translations", ops, sites=n)
-
-
-def pauli_matrices() -> list[list[list[Scalar]]]:
-    return [
-        [[ZERO, ONE], [ONE, ZERO]],
-        [[ZERO, -I], [I, ZERO]],
-        [[ONE, ZERO], [ZERO, -ONE]],
-    ]
 
 
 def internal_symmetry_generators(n: int, taus: Sequence[Sequence[Sequence[ScalarLike]]],
                                  sites: int | None = None) -> NamedOperatorSet:
     """Generators T^a from traceless hermitian n x n matrices.
 
-    Slot-1 unbarred variables carry the defining representation, slot-2
-    unbarred variables the conjugate one; barred variables follow by
-    conjugation, which makes each T^a hermitian.
+    T^a lifts tau^a on slot 1 (the defining representation) and
+    -transpose(tau^a) on slot 2 (the conjugate one), matrix index j at site
+    j; the lift's barred terms make each T^a hermitian.
     """
     sites = n if sites is None else sites
+    slot1, slot2 = ([(xs, xs) for xs in ([fam(b, j) for j in range(1, n + 1)]
+                                         for fam in (uvar, vvar))]
+                    for b in (1, 2))
     ops: dict[str, DiffOp] = {}
     for a, tau_raw in enumerate(taus, start=1):
         tau = [[Scalar.of(x) for x in row] for row in tau_raw]
         if len(tau) != n or any(len(row) != n for row in tau):
             raise BadTau(f"tau^{a} is not {n}x{n}")
-        trace = ZERO
-        for j in range(n):
-            trace = trace + tau[j][j]
-            for k in range(n):
-                if tau[j][k] != tau[k][j].conjugate():
-                    raise BadTau(f"tau^{a} is not hermitian")
-        if not trace.is_zero:
+        if any(tau[j][k] != tau[k][j].conjugate() for j in range(n) for k in range(n)):
+            raise BadTau(f"tau^{a} is not hermitian")
+        if not sum((tau[j][j] for j in range(n)), ZERO).is_zero:
             raise BadTau(f"tau^{a} is not traceless")
-        terms = []
-        for j in range(n):
-            for k in range(n):
-                c = tau[j][k]
-                if c.is_zero:
-                    continue
-                for fam in (uvar, vvar):
-                    terms += [_mono(c, fam(1, j + 1), fam(1, k + 1)),
-                              _mono(-c.conjugate(), fam(1, j + 1, True), fam(1, k + 1, True)),
-                              _mono(-tau[k][j], fam(2, j + 1), fam(2, k + 1)),
-                              _mono(tau[k][j].conjugate(), fam(2, j + 1, True), fam(2, k + 1, True))]
-        ops[f"T{a}"] = DiffOp.sum(terms)
+        minus_transpose = [[-tau[k][j] for k in range(n)] for j in range(n)]
+        ops[f"T{a}"] = _lift(tau, slot1) + _lift(minus_transpose, slot2)
     return NamedOperatorSet("sun", ops, sites=max(sites, n))
 
 
@@ -272,9 +259,7 @@ def poincare_set(n: int = 1, reconstructed: bool = False) -> NamedOperatorSet:
 
 def _pauli_sun(n: int) -> NamedOperatorSet:
     """The su(2) instance of the internal-symmetry generators: tau = sigma/2."""
-    taus = [[[x * gaussian(1, 0, 2) for x in row] for row in m]
-            for m in pauli_matrices()]
-    return internal_symmetry_generators(2, taus, sites=n)
+    return internal_symmetry_generators(2, HALF_SIGMA, sites=n)
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +267,8 @@ def _pauli_sun(n: int) -> NamedOperatorSet:
 # ----------------------------------------------------------------------
 # One table entry: (label_a, label_b, [(coeff, label), ...]); the expected
 # right-hand side is the linear combination of set members, empty for zero.
+# The tables are the printed claims under test, so they are written out by
+# hand and not derived from the matrices the generators are lifted from.
 TableEntry = tuple[str, str, list[tuple[Scalar, str]]]
 
 _EPS = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
@@ -507,23 +494,16 @@ def build_spacetime_map(eta_raw: Sequence[Sequence[ScalarLike]],
     if reading == "slot-site" and n != 2:
         raise ValueError("slot-site reading requires a 2x2 eta")
 
-    if reading == "site-slot":
-        def factor2(fam: str, j: int) -> Var:
-            return Var(fam, 2, j)
-
-        def factor1c(fam: str, k: int) -> Var:
-            return Var(fam, 1, k, True)
-    else:
-        def factor2(fam: str, j: int) -> Var:
-            return Var(fam, j, 2)
-
-        def factor1c(fam: str, k: int) -> Var:
-            return Var(fam, k, 1, True)
+    def var(fam: str, slot: int, site: int, conj: bool = False) -> Var:
+        """Var(fam, slot, site, conj), with slot and site swapped if slot-site."""
+        if reading == "slot-site":
+            slot, site = site, slot
+        return Var(fam, slot, site, conj)
 
     def pair_sum(terms: list[tuple[ScalarLike, str, str]]) -> DiffOp:
         return DiffOp.sum(
             DiffOp.term(eta[j - 1][k - 1] * Scalar.of(coeff),
-                        [(factor2(fam2, j), 1), (factor1c(fam1, k), 1)], ())
+                        [(var(fam2, 2, j), 1), (var(fam1, 1, k, True), 1)], ())
             for j in range(1, n + 1) for k in range(1, n + 1)
             for coeff, fam2, fam1 in terms)
 

@@ -224,6 +224,22 @@ def test_repr_sizes_at_the_caps_are_accepted(capsys):
                    capsys)[0] == 0
 
 
+def test_finite_unitaries_past_the_cap_are_a_usage_error(capsys):
+    code, out, err = run_cli(["verify", "invariance", "--finite-unitaries", "101"],
+                             capsys)  # cli.MAX_UNITARIES
+    assert code == 1
+    assert out == ""
+    assert err.startswith("linqm: error: ")
+
+
+def test_finite_unitaries_at_the_cap_are_accepted(capsys):
+    code, out, _ = run_cli(["verify", "invariance", "--target", "oscillator",
+                            "--gens", "su2", "--n", "2", "--finite-unitaries", "100"],
+                           capsys)
+    assert code == 0
+    assert "A99" in out
+
+
 def test_fock_car_cli(capsys):
     code, _, _ = run_cli(["fock", "car", "--modes", "3"], capsys)
     assert code == 0

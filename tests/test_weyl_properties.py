@@ -7,8 +7,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linqm import weyl
-from linqm.scalar import Scalar
+from linqm import linalg, oplib, weyl
+from linqm.scalar import I, Scalar
 from linqm.weyl import DiffOp, ExponentOverflow, LinearSub, Var
 
 U, V = Var("u"), Var("v")
@@ -92,8 +92,9 @@ def _site_pool(site: int) -> list[Var]:
 
 @st.composite
 def site_terms(draw):
-    """One term on one of sites 1-6, as ``_doublet_sum`` builds them; about
-    half also touch one of their variables from both sides."""
+    """One term on one of sites 1-6, as the site-summed generators of
+    ``oplib`` are built; about half also touch one of their variables from
+    both sides."""
     pool = st.sampled_from(_site_pool(draw(st.integers(1, 6))))
     site_powers = st.lists(st.tuples(pool, st.integers(1, 2)), max_size=2)
     mults, derivs = draw(site_powers), draw(site_powers)
@@ -105,8 +106,8 @@ def site_terms(draw):
 
 # Operators over sites 1-6, so most term pairs share no variable: sums of up
 # to 12 single-site terms, and copies of one site-1 operator on sites 1-k,
-# summed as ``_doublet_sum`` sums generators, whose contracting partners sit
-# in runs far into the other operator's term order.
+# summed as ``oplib._lift`` sums a generator over sites, whose contracting
+# partners sit in runs far into the other operator's term order.
 site_operators = st.one_of(
     st.lists(site_terms(), min_size=1, max_size=12).map(DiffOp.sum),
     st.builds(lambda op, k: DiffOp.sum(op.map_sites({1: s}) for s in range(1, k + 1)),
@@ -354,3 +355,44 @@ def test_render_matches_reference_renderer(spec):
     op = DiffOp.sum(DiffOp.term(c, m, d) for c, m, d in spec)
     assert op.render() == _reference_render(op)
     assert str(op) == op.render()
+
+
+# ----------------------------------------------------------------------
+# lifted matrices
+# ----------------------------------------------------------------------
+entries = st.builds(lambda a, b, c: Scalar(Fraction(a, c), Fraction(b, c)),
+                    st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3))
+matrices = st.lists(st.lists(entries, min_size=2, max_size=2), min_size=2, max_size=2)
+site_counts = st.integers(1, 3)
+
+
+def _doublets(sites: int) -> list:
+    """The (u[b,i], v[b,i]) doublet of both slots and every site, as xs = ys."""
+    return [(d, d) for d in ((oplib.uvar(b, i), oplib.vvar(b, i))
+                             for b in (1, 2) for i in range(1, sites + 1))]
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrices, matrices, site_counts)
+def test_lift_carries_the_matrix_commutator(a, b, sites):
+    copies = _doublets(sites)
+    ab, ba = linalg.mat_mul(a, b), linalg.mat_mul(b, a)
+    minus_i_bracket = [[-I * (x - y) for x, y in zip(r, s)] for r, s in zip(ab, ba)]
+    assert (oplib._lift(a, copies).commutator(oplib._lift(b, copies))
+            == oplib._lift(minus_i_bracket, copies).scale(I))
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrices, site_counts)
+def test_lift_is_self_adjoint_exactly_when_the_trace_is_real(a, sites):
+    lift = oplib._lift(a, _doublets(sites))
+    assert (lift.adjoint() == lift) == ((a[0][0] + a[1][1]).im == 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrices, matrices, site_counts)
+def test_lifts_from_slot_1_to_conjugated_slot_2_commute(a, b, sites):
+    copies = [((oplib.uvar(1, i), oplib.vvar(1, i)),
+               (oplib.uvar(2, i, True), oplib.vvar(2, i, True)))
+              for i in range(1, sites + 1)]
+    assert oplib._lift(a, copies).commutator(oplib._lift(b, copies)).is_zero

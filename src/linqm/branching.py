@@ -25,11 +25,12 @@ import math
 import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .report import RelationReport
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NORM_TOL = 1e-12
 # Size caps.  Every branch carries one record per subsystem, so the ledger
@@ -546,6 +547,8 @@ def eigen_branch_check(m: np.ndarray, x: np.ndarray, y: np.ndarray,
                    for c2, d2 in coeffs[i + 1:])
     if best_det < 1e-6:
         raise DegeneratePhases("phase pairs do not separate the components")
+
+    import numpy as np  # the one array check; the ledger never loads numpy
 
     m = np.asarray(m, dtype=complex)
     x = np.asarray(x, dtype=complex)

@@ -20,10 +20,10 @@ from fractions import Fraction
 from . import linalg, oplib, report, reps
 from .scalar import Scalar
 
-# The simulator modules (branching, collapse, fock) load numpy, and collapse
-# also scipy.special; each simulator command imports its module, so the
-# exact commands start without either.  ``collapse run --scheme`` choices,
-# in the order of collapse.SCHEMES:
+# collapse and fock load numpy, and collapse also scipy.special; each
+# simulator command imports its module, so the exact commands and ``sim
+# branch`` start without either.  ``collapse run --scheme`` choices, in the
+# order of collapse.SCHEMES:
 SCHEMES = ("linear_drift", "linear_noise", "nonlinear_ruin")
 
 # Random pairs one ``repr homomorphism`` call checks: each costs two group
@@ -307,28 +307,23 @@ def cmd_collapse_run(args) -> int:
     return 0 if born.passed else 2
 
 
-REPORT_ROW_KEYS = ("suite", "relation", "expected", "actual", "residual", "pass")
-
-
 def cmd_report(args) -> int:
+    """Re-render a stored report; a relation report's verdict is its rows'."""
     with open(args.file, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"{args.file}: a report must be a JSON object")
-    rows = payload.get("relations", [])
-    if not isinstance(rows, list) or not all(
-            isinstance(r, dict) and r.keys() >= set(REPORT_ROW_KEYS) for r in rows):
-        raise ValueError(f"{args.file}: 'relations' must be a list of objects "
-                         f"with keys {', '.join(REPORT_ROW_KEYS)}")
-    if args.format == "json" or "relations" not in payload:
+    if not isinstance(payload.get("pass", False), bool):
+        raise ValueError(f"{args.file}: 'pass' must be true or false")
+    if "relations" not in payload:
         sys.stdout.write(report.render_json(payload))
-    else:
-        rows = [report.RelationReport(r["suite"], r["relation"], r["expected"],
-                                      r["actual"], r["residual"], r["pass"])
-                for r in payload["relations"]]
-        sys.stdout.write(report.render_text(rows))
-    vacuous = "relations" in payload and not payload["relations"]
-    return 2 if vacuous or not payload.get("pass", True) else 0
+        return 0 if payload.get("pass", True) else 2
+    if not isinstance(payload["relations"], list):
+        raise ValueError(f"{args.file}: 'relations' must be a list")
+    rows = [report.RelationReport.from_json_obj(r) for r in payload["relations"]]
+    sys.stdout.write(report.render_json(payload) if args.format == "json"
+                     else report.render_text(rows))
+    return 0 if report.reports_payload(rows)["pass"] else 2
 
 
 # ----------------------------------------------------------------------

@@ -659,13 +659,12 @@ def search_scaling_generator(pset: NamedOperatorSet,
     rows: list[list[Scalar]] = []
     rhs: list[Scalar] = []
 
+    # One row per term key, in first-seen order: the reduced row echelon
+    # form is unique whatever the row order, so the answer cannot move.
     def add_equation(lhs_ops: list[DiffOp], rhs_op: DiffOp) -> None:
-        keys: set = set()
-        for op in lhs_ops + [rhs_op]:
-            keys.update(k for k, _ in op.term_items())
         lhs_maps = [dict(op.term_items()) for op in lhs_ops]
         rhs_map = dict(rhs_op.term_items())
-        for key in sorted(keys, key=_key_text):
+        for key in dict.fromkeys(k for m in (*lhs_maps, rhs_map) for k in m):
             rows.append([m.get(key, ZERO) for m in lhs_maps])
             rhs.append(rhs_map.get(key, ZERO))
 
@@ -688,12 +687,6 @@ def search_scaling_generator(pset: NamedOperatorSet,
             return None
     g = DiffOp.sum(c.scale(co) for c, co in zip(candidates, coeffs))
     return list(coeffs), g
-
-
-def _key_text(key) -> str:
-    mults, derivs = key
-    return ("|".join(f"{v.label()}^{p}" for v, p in mults) + ";" +
-            "|".join(f"{v.label()}^{p}" for v, p in derivs))
 
 
 def diagonal_bilinears(n: int) -> list[DiffOp]:

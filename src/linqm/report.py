@@ -9,6 +9,7 @@ zero (or within the stated tolerance for float-valued suites).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -16,11 +17,20 @@ from .weyl import DiffOp
 
 _RENDER_CAP = 800
 
+# What ``clip`` appends past ``_RENDER_CAP`` characters in a report file.
+_CLIPPED_TAIL = re.compile(r"\.\.\. \[([0-9]+) more chars\]")
+
+_TEXT_KEYS = ("suite", "relation", "expected", "actual", "residual")
+
 
 def clip(text: str, cap: int = _RENDER_CAP) -> str:
+    """The first ``cap`` characters of ``text`` and a count of the rest.  A
+    text a report file stored clipped counts the rest from its marker."""
     if len(text) <= cap:
         return text
-    return text[:cap] + f"... [{len(text) - cap} more chars]"
+    tail = _CLIPPED_TAIL.fullmatch(text, _RENDER_CAP)
+    full = _RENDER_CAP + int(tail[1]) if tail else len(text)
+    return text[:cap] + f"... [{full - cap} more chars]"
 
 
 @dataclass(frozen=True)
@@ -41,6 +51,15 @@ class RelationReport:
             "residual": clip(self.residual),
             "pass": self.passed,
         }
+
+    @classmethod
+    def from_json_obj(cls, obj: object) -> "RelationReport":
+        """The record ``to_json_obj`` wrote; ValueError for anything else."""
+        if not (isinstance(obj, dict) and isinstance(obj.get("pass"), bool)
+                and all(isinstance(obj.get(k), str) for k in _TEXT_KEYS)):
+            raise ValueError("each relation must be an object with the strings "
+                             f"{', '.join(_TEXT_KEYS)} and the boolean pass")
+        return cls(*(obj[k] for k in _TEXT_KEYS), obj["pass"])
 
 
 def relation_report(suite: str, relation: str, expected: DiffOp, actual: DiffOp,

@@ -77,7 +77,7 @@ def monomial_poly(mono: Monomial) -> DiffOp:
 def _poly_monomial_coeffs(poly: DiffOp) -> dict[Monomial, Scalar]:
     """Exponent map of a polynomial in u, v; NonHolomorphic otherwise."""
     out: dict[Monomial, Scalar] = {}
-    for coeff, mults, derivs in poly.terms():
+    for (mults, derivs), coeff in poly.term_items():
         if derivs:
             raise NonHolomorphic("argument carries derivatives")
         a = b = 0

@@ -21,12 +21,13 @@ numerator part is 1 -- so operator equality is a plain comparison.  A term
 key is (mults, derivs), each half a tuple of (variable id, power >= 1)
 sorted by id.  Ids are small integers from a private intern table that is
 only ever appended to, so all ring operations are integer work.  Ids never
-reach the outside: ``terms``, ``term_items`` and ``render`` return ``Var``
-factors ordered by ``Var.key``, so the order in which variables were first
-met cannot change any answer.  Because an id never changes meaning, the
-normal ordering of two terms (``_compose``) and the sort key and text of
-each half of a term key (``_half_text``) are memoized, each in a cache
-bounded at ``COMPOSE_CACHE_SIZE`` entries.  ``commutator`` is its own
+reach the outside: a term key leaves the id form only through ``_half``,
+one memo that maps each half to its sort key, its ``Var`` factors ordered
+by ``Var.key``, and its text.  ``terms``, ``term_items`` and ``render`` all
+read it, so the order in which variables were first met cannot change any
+answer.  Because an id never changes meaning, ``_half`` and the normal
+ordering of two terms (``_compose``) are memoized, each in a cache bounded
+at ``COMPOSE_CACHE_SIZE`` entries.  ``commutator`` is its own
 kernel: it adds only the contraction terms of both orders, so the terms
 that cancel in ``a*b - b*a`` are never built.  It indexes the right
 operand's terms by the variable ids of their multiplications and of their
@@ -54,8 +55,8 @@ from .scalar import ONE, ZERO, Scalar, ScalarLike, format_gaussian, gaussian
 
 MAX_EXPONENT = 1 << 20
 
-# Entries kept by each memo (``_compose`` and ``_half_text``).  Bounded, so a
-# long process holds at most this many normal-ordered products and texts.
+# Entries kept by each memo: ``_compose``, and ``_half``, the one exit from the
+# id form.  Bounded, so a process holds at most this many of each.
 COMPOSE_CACHE_SIZE = 2048
 
 
@@ -193,10 +194,6 @@ def _ids(powers: Iterable[tuple[Var, int]]) -> Powers:
     return _powers(acc)
 
 
-def _vars(powers: Powers) -> Mults:
-    return tuple(sorted(((_VARS[i], p) for i, p in powers), key=lambda vp: vp[0].key))
-
-
 def _conj(powers: Powers) -> Powers:
     return _powers({_CONJ[i]: p for i, p in powers})
 
@@ -228,12 +225,6 @@ def _falling(p: int, k: int) -> int:
     for j in range(k):
         out *= p - j
     return out
-
-
-def _term_sort_key(term: tuple[Scalar, Mults, Mults]):
-    _, mults, derivs = term
-    return (tuple((v.key, p) for v, p in mults),
-            tuple((v.key, p) for v, p in derivs))
 
 
 class DiffOp:
@@ -294,16 +285,22 @@ class DiffOp:
 
     def terms(self) -> list[tuple[Scalar, Mults, Mults]]:
         """Terms in canonical order."""
-        return sorted(((gaussian(re, im, self._den), _vars(m), _vars(d))
-                       for (m, d), (re, im) in self._num.items()), key=_term_sort_key)
+        return [(gaussian(re, im, self._den), m[1], d[1])
+                for m, d, (re, im) in self._halves()]
 
     def n_terms(self) -> int:
         return len(self._num)
 
     def term_items(self) -> list[tuple[TermKey, Scalar]]:
         """(key, coefficient) pairs; order is not canonical."""
-        return [((_vars(m), _vars(d)), gaussian(re, im, self._den))
+        return [((_half(m)[1], _half(d)[1]), gaussian(re, im, self._den))
                 for (m, d), (re, im) in self._num.items()]
+
+    def _halves(self) -> list[tuple[tuple, tuple, tuple[int, int]]]:
+        """(``_half`` of mults, ``_half`` of derivs, numerator) per term,
+        sorted by the halves' sort keys: the canonical term order."""
+        return sorted(((_half(m), _half(d), c) for (m, d), c in self._num.items()),
+                      key=lambda row: (row[0][0], row[1][0]))
 
     def is_derivation(self) -> bool:
         """True when every term has total derivative order exactly one."""
@@ -480,14 +477,8 @@ class DiffOp:
         if not self._num:
             return "0"
         den = self._den
-        rows = []
-        for (m, d), (re, im) in self._num.items():
-            m_key, m_text, _ = _half_text(m)
-            d_key, _, d_text = _half_text(d)
-            coeff = format_gaussian(re, im, den)
-            rows.append(((m_key, d_key), f"({coeff}){m_text}{d_text}"))
-        rows.sort()  # term keys are distinct, so the texts are never compared
-        return " + ".join(text for _, text in rows)
+        return " + ".join(f"({format_gaussian(re, im, den)}){m[2]}{d[3]}"
+                          for m, d, (re, im) in self._halves())
 
     def __str__(self) -> str:
         return self.render()
@@ -503,16 +494,17 @@ def _as_op(x: OpLike) -> DiffOp:
 
 
 @functools.lru_cache(maxsize=COMPOSE_CACHE_SIZE)
-def _half_text(powers: Powers) -> tuple[tuple, str, str]:
-    """Sort key of one half of a term key, and its text as multiplications
+def _half(powers: Powers) -> tuple[tuple, Mults, str, str]:
+    """One half of a term key as it leaves the id form: its sort key, its
+    ``Var`` factors ordered by ``Var.key``, and its text as multiplications
     and as derivatives, each factor led by ``*``.
 
     Memoized: ids are never reassigned, so the same powers always name the
     same variables.
     """
-    factors = _vars(powers)
+    factors = tuple(sorted(((_VARS[i], p) for i, p in powers), key=lambda vp: vp[0].key))
     labels = [(v.label(), f"^{p}" if p > 1 else "") for v, p in factors]
-    return (tuple((v.key, p) for v, p in factors),
+    return (tuple((v.key, p) for v, p in factors), factors,
             "".join(f"*{label}{power}" for label, power in labels),
             "".join(f"*d[{label}]{power}" for label, power in labels))
 

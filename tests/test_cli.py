@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linqm import cli, report
 from linqm.weyl import DiffOp, Var
@@ -483,6 +485,22 @@ def test_report_rerender(tmp_path, capsys):
     code, out, _ = run_cli(["report", str(out_file), "--format", "text"], capsys)
     assert code == 0
     assert "relations pass" in out
+    # The file keeps 800 characters of each text; the re-rendered text must
+    # still count the rest of the original, as the original run printed it.
+    argv = ["verify", "spacetime", "--random-eta", "3", "--n", "4", "--out", str(out_file)]
+    code, original, _ = run_cli(argv, capsys)
+    assert code == 2 and "... [11475 more chars]" in original
+    assert run_cli(["report", str(out_file)], capsys) == (2, original, "")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(lambda unit, k: unit * k, st.text(min_size=1, max_size=12),
+                 st.integers(0, 250)),
+       st.sampled_from([1, 200, 800]))
+def test_clipping_a_stored_text_counts_the_original(text, cap):
+    """A report file stores ``clip(text)``; clipping that again at any cap
+    up to the stored one reads as clipping the original text."""
+    assert report.clip(report.clip(text), cap) == report.clip(text, cap)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -493,11 +511,21 @@ def test_report_with_no_relations_fails(fmt, tmp_path, capsys):
     assert code == 2
 
 
+_ROW = {"suite": "lie:xyz", "relation": "[Lx,Ly] = (i)*Lz", "expected": "(i)*Lz",
+        "actual": "(i)*Lz", "residual": "0", "pass": True}
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("payload", [{"relations": None}, [], {"relations": [1]},
-                                     {"relations": [{"suite": "lie:xyz"}]}],
-                         ids=["null-relations", "top-level-list", "non-object-row",
-                              "missing-row-keys"])
+@pytest.mark.parametrize("payload", [
+    {"relations": None}, [], {"relations": [1]}, {"relations": [{"suite": "lie:xyz"}]},
+    {"relations": [{**_ROW, "expected": 1}], "pass": True},
+    {"relations": [{**_ROW, "suite": ["lie:xyz"]}], "pass": True},
+    {"relations": [{**_ROW, "pass": "no"}], "pass": True},
+    {"relations": [_ROW], "pass": "true"},
+    {"frequencies": [0.5, 0.5], "pass": 1},
+], ids=["null-relations", "top-level-list", "non-object-row", "missing-row-keys",
+        "integer-expected", "list-suite", "string-row-pass", "string-top-level-pass",
+        "integer-top-level-pass"])
 def test_report_rejects_malformed_file(payload, fmt, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
@@ -505,6 +533,17 @@ def test_report_rejects_malformed_file(payload, fmt, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("linqm: error: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_report_verdict_comes_from_the_rows(fmt, tmp_path, capsys):
+    """A top-level ``pass`` that contradicts the rows does not decide."""
+    contradicting = tmp_path / "contradicting.json"
+    contradicting.write_text(json.dumps({"relations": [{**_ROW, "pass": False}],
+                                         "pass": True}))
+    code, out, _ = run_cli(["report", str(contradicting), "--format", fmt], capsys)
+    assert code == 2
+    assert fmt == "json" or out.endswith("0/1 relations pass\n")
 
 
 def test_relation_report_renders_equal_operators_once(monkeypatch):
@@ -563,6 +602,18 @@ def test_exact_commands_never_load_numpy(tmp_path):
     assert {argv[0] for argv in commands} == {"verify", "repr", "report"}
     assert len(codes) == len(commands) + 1 and set(codes) <= {0, 2}
     assert loaded == []
+
+
+def test_sim_branch_never_loads_numpy(tmp_path):
+    """The branch ledger is plain Python: only ``eigen_branch_check`` needs
+    numpy, so a ``sim branch`` process never pays its import."""
+    (tmp_path / "mirror.json").write_text(json.dumps({"scenario": "mirror"}))
+    probe = ("import contextlib, io, sys\n"
+             "from linqm import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = cli.main(['sim', 'branch', 'mirror.json'])\n"
+             "print(code, 'numpy' in sys.modules)\n")
+    assert _fresh_python(probe, cwd=tmp_path).stdout.split() == ["0", "False"]
 
 
 def test_scheme_choices_follow_collapse():

@@ -322,6 +322,26 @@ def test_scaling_search_over_diagonal_bilinears():
     assert g.commutator(oplib.oscillator(1)["O"]).is_zero
 
 
+# Exact coefficient vectors over diagonal_bilinears(n).  The equation rows
+# follow the order in which term keys are first seen; the exact reduced row
+# echelon form is unique for any row order, so no row order may move these.
+_SCALING_ONE_SITE = {0: "1 -1 1 -1 -1 1 -1 1",
+                     1: "i 0 i 0 -i 0 -i 0",
+                     2: "2i 0 2i 0 -2i 0 -2i 0"}
+_SCALING_TWO_SITES = {0: "1 -1 1 -1 0 0 0 0 -1 1 -1 1 0 0 0 0",
+                      1: "i 0 i 0 i 0 i 0 -i 0 -i 0 -i 0 -i 0",
+                      2: "2i 0 2i 0 2i 0 2i 0 -2i 0 -2i 0 -2i 0 -2i 0"}
+
+
+@pytest.mark.parametrize("reconstructed", [False, True])
+@pytest.mark.parametrize("n, expected", [(1, _SCALING_ONE_SITE), (2, _SCALING_TWO_SITES)])
+@pytest.mark.parametrize("lam", [0, 1, 2])
+def test_scaling_search_coefficients_are_pinned(reconstructed, n, expected, lam):
+    p = oplib.translation_generators(n, reconstructed)
+    coeffs, _ = oplib.search_scaling_generator(p, oplib.diagonal_bilinears(n), lam)
+    assert " ".join(str(c) for c in coeffs) == expected[lam]
+
+
 def test_scaling_search_infeasible():
     p = oplib.translation_generators(1)
     # a single candidate that commutes with everything cannot scale

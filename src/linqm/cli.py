@@ -30,9 +30,10 @@ SCHEMES = ("linear_drift", "linear_noise", "nonlinear_ruin")
 # elements' matrices and one product at the chosen degree.
 MAX_PAIRS = 50
 
-# Exact unitary substitutions one ``verify invariance`` call checks.  Each
-# costs under 1 ms on the laplacian and 50-85 ms on the oscillator at --n
-# 256, where 100 take 5-9 s on a 2-vCPU machine, as spacetime does at its cap.
+# Exact unitary substitutions one ``verify invariance`` call checks.  They
+# act on the doublet (u, v), so only the laplacian target takes them: the
+# oscillator's variables are u[b,i] and v[b,i].  Each costs under 1 ms, and
+# 100 take 0.15-0.24 s on a 2-vCPU machine.
 MAX_UNITARIES = 100
 
 # Site counts (--n) the verify commands accept.  At 256 sites the slowest
@@ -49,23 +50,24 @@ class Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get("LINQM_REPORT_DIR")
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
-def _emit(reports_list, out: str | None, fmt: str, extra: dict | None = None) -> int:
-    payload = report.reports_payload(reports_list, **(extra or {}))
-    text = report.render_json(payload) if fmt == "json" \
-        else report.render_text(reports_list)
-    sys.stdout.write(text)
+def _emit(payload: dict, out: str | None, text: str | None = None) -> int:
+    """The one output path.  The JSON is rendered first, so a refused value
+    prints nothing and leaves no file; then ``text`` is printed, or the JSON
+    when no text is given, and the JSON is written to ``out`` (relative to
+    LINQM_REPORT_DIR when that is set)."""
+    data = report.render_json(payload)
+    sys.stdout.write(data if text is None else text)
     if out:
-        report.write_report(out, text if fmt == "json" else report.render_json(payload))
-    return 0 if payload["pass"] else 2
+        report.write_report(os.path.join(os.environ.get("LINQM_REPORT_DIR", ""), out),
+                            data)
+    return 0 if payload.get("pass", True) else 2
+
+
+def _emit_relations(reports_list, args, /, **extra) -> int:
+    """A relation report, as text or JSON by --format (``report`` has no --out)."""
+    payload = report.reports_payload(reports_list, **extra)
+    text = report.render_text(payload) if args.format == "text" else None
+    return _emit(payload, getattr(args, "out", None), text)
 
 
 def _positive_int(text: str) -> int:
@@ -110,15 +112,13 @@ def cmd_verify_lie(args) -> int:
     opset = oplib.build_operators(args.set, n=_check_sites(args.n, MAX_SITES))
     table = oplib.OPERATOR_SETS[args.set].table()
     reports_list = oplib.verify_commutator_table(opset, table)
-    return _emit(reports_list, _resolve_out(args.out), args.format,
-                 {"set": args.set, "n": args.n})
+    return _emit_relations(reports_list, args, set=args.set, n=args.n)
 
 
 def cmd_verify_hermiticity(args) -> int:
     opset = oplib.build_operators(args.set, n=_check_sites(args.n, MAX_SITES))
     reports_list = oplib.verify_hermiticity(opset)
-    return _emit(reports_list, _resolve_out(args.out), args.format,
-                 {"set": args.set, "n": args.n})
+    return _emit_relations(reports_list, args, set=args.set, n=args.n)
 
 
 def cmd_verify_invariance(args) -> int:
@@ -137,8 +137,8 @@ def cmd_verify_invariance(args) -> int:
             subs.append((f"A{k}", reps.substitution_of_matrix(a)))
         reports_list += oplib.verify_substitution_invariance(
             target, subs, target_name=args.target)
-    return _emit(reports_list, _resolve_out(args.out), args.format,
-                 {"target": args.target, "gens": args.gens, "n": args.n})
+    return _emit_relations(reports_list, args,
+                           target=args.target, gens=args.gens, n=args.n)
 
 
 def cmd_verify_spacetime(args) -> int:
@@ -162,9 +162,8 @@ def cmd_verify_spacetime(args) -> int:
     pset = oplib.translation_generators(
         len(eta), reconstructed=args.reconstructed)
     reports_list = oplib.verify_spacetime_relations(pset, st)
-    return _emit(reports_list, _resolve_out(args.out), args.format,
-                 {"reading": args.reading, "n": len(eta),
-                  "set": pset.name})
+    return _emit_relations(reports_list, args,
+                           reading=args.reading, n=len(eta), set=pset.name)
 
 
 def cmd_verify_translation_flow(args) -> int:
@@ -173,8 +172,7 @@ def cmd_verify_translation_flow(args) -> int:
         raise ValueError("--x needs four comma-separated rationals")
     pset = oplib.build_operators(args.set, n=_check_sites(args.n, MAX_SITES))
     reports_list = oplib.translation_flow_check(pset, xs)
-    return _emit(reports_list, _resolve_out(args.out), args.format,
-                 {"set": args.set, "x": args.x})
+    return _emit_relations(reports_list, args, set=args.set, x=args.x)
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +199,7 @@ def cmd_repr_table(args) -> int:
                            for row in mat.normalized(space)],
         } for label, mat in exact.items()},
     }
-    text = data = report.render_json(payload)
+    text = None
     if args.format == "text":
         lines = [f"degree {args.degree}  dimension {space.dim}"]
         for i, mono in enumerate(payload["basis"]):
@@ -210,11 +208,7 @@ def cmd_repr_table(args) -> int:
         lines.append("casimir blocks: " + ", ".join(
             f"{b['eigenvalue']} on {b['indices']}" for b in payload["casimir_blocks"]))
         text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    out = _resolve_out(args.out)
-    if out:
-        report.write_report(out, data)
-    return 0
+    return _emit(payload, args.out, text)
 
 
 def cmd_repr_homomorphism(args) -> int:
@@ -237,8 +231,8 @@ def cmd_repr_homomorphism(args) -> int:
             residual="0" if ok else "nonzero",
             passed=ok,
         ))
-    return _emit(reports_list, _resolve_out(args.out), args.format,
-                 {"degree": args.degree, "pairs": args.pairs, "seed": args.seed})
+    return _emit_relations(reports_list, args,
+                           degree=args.degree, pairs=args.pairs, seed=args.seed)
 
 
 # ----------------------------------------------------------------------
@@ -248,8 +242,7 @@ def cmd_fock_car(args) -> int:
     from . import fock
     reports_list = fock.verify_car(args.modes,
                                    include_printed_variant=args.printed_variant)
-    return _emit(reports_list, _resolve_out(args.out), args.format,
-                 {"modes": args.modes})
+    return _emit_relations(reports_list, args, modes=args.modes)
 
 
 def cmd_fock_antisym(args) -> int:
@@ -279,8 +272,8 @@ def cmd_sim_branch(args) -> int:
         if key in doc and key not in params:
             params[key] = doc[key]
     state, reports_list = branching.run_scenario(name, params)
-    extra = {"scenario": name, "branches": branching.ledger_payload(state)}
-    return _emit(reports_list, _resolve_out(args.out), args.format, extra)
+    return _emit_relations(reports_list, args, scenario=name,
+                           branches=branching.ledger_payload(state))
 
 
 def cmd_collapse_run(args) -> int:
@@ -291,24 +284,19 @@ def cmd_collapse_run(args) -> int:
         dt=args.dt, steps=args.steps)
     _, summary = collapse.run_scheme(cfg)
     born = collapse.born_test(summary, cfg.amplitudes)
-    payload = {
+    return _emit({
         "config": cfg.to_json_obj(),
         "frequencies": born.frequencies,
         "chi2": born.chi2,
         "p_value": born.p_value,
         "pass": born.passed,
         "nonconverged_count": summary.nonconverged,
-    }
-    text = report.render_json(payload)  # a refused value prints nothing
-    sys.stdout.write(text)
-    out = _resolve_out(args.out)
-    if out:
-        report.write_report(out, text)
-    return 0 if born.passed else 2
+    }, args.out)
 
 
 def cmd_report(args) -> int:
-    """Re-render a stored report; a relation report's verdict is its rows'."""
+    """Re-render a stored report through the path that wrote it.  A relation
+    report is rebuilt from its rows, so its verdict and ``pass`` are theirs."""
     with open(args.file, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -316,14 +304,12 @@ def cmd_report(args) -> int:
     if not isinstance(payload.get("pass", False), bool):
         raise ValueError(f"{args.file}: 'pass' must be true or false")
     if "relations" not in payload:
-        sys.stdout.write(report.render_json(payload))
-        return 0 if payload.get("pass", True) else 2
+        return _emit(payload, None)
     if not isinstance(payload["relations"], list):
         raise ValueError(f"{args.file}: 'relations' must be a list")
-    rows = [report.RelationReport.from_json_obj(r) for r in payload["relations"]]
-    sys.stdout.write(report.render_json(payload) if args.format == "json"
-                     else report.render_text(rows))
-    return 0 if report.reports_payload(rows)["pass"] else 2
+    rows = [report.RelationReport.from_json_obj(r) for r in payload.pop("relations")]
+    payload.pop("pass", None)
+    return _emit_relations(rows, args, **payload)
 
 
 # ----------------------------------------------------------------------

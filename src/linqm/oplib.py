@@ -223,15 +223,14 @@ def translation_generators(n: int = 1, reconstructed: bool = False) -> NamedOper
     return NamedOperatorSet("translations", ops, sites=n)
 
 
-def internal_symmetry_generators(n: int, taus: Sequence[Sequence[Sequence[ScalarLike]]],
-                                 sites: int | None = None) -> NamedOperatorSet:
+def internal_symmetry_generators(
+        n: int, taus: Sequence[Sequence[Sequence[ScalarLike]]]) -> NamedOperatorSet:
     """Generators T^a from traceless hermitian n x n matrices.
 
     T^a lifts tau^a on slot 1 (the defining representation) and
     -transpose(tau^a) on slot 2 (the conjugate one), matrix index j at site
     j; the lift's barred terms make each T^a hermitian.
     """
-    sites = n if sites is None else sites
     slot1, slot2 = ([(xs, xs) for xs in ([fam(b, j) for j in range(1, n + 1)]
                                          for fam in (uvar, vvar))]
                     for b in (1, 2))
@@ -246,7 +245,7 @@ def internal_symmetry_generators(n: int, taus: Sequence[Sequence[Sequence[Scalar
             raise BadTau(f"tau^{a} is not traceless")
         minus_transpose = [[-tau[k][j] for k in range(n)] for j in range(n)]
         ops[f"T{a}"] = _lift(tau, slot1) + _lift(minus_transpose, slot2)
-    return NamedOperatorSet("sun", ops, sites=max(sites, n))
+    return NamedOperatorSet("sun", ops, sites=n)
 
 
 def poincare_set(n: int = 1, reconstructed: bool = False) -> NamedOperatorSet:
@@ -255,11 +254,6 @@ def poincare_set(n: int = 1, reconstructed: bool = False) -> NamedOperatorSet:
     p = translation_generators(n, reconstructed=reconstructed)
     name = "poincare-reconstructed" if reconstructed else "poincare"
     return NamedOperatorSet(name, {**jk.ops, **p.ops}, sites=n)
-
-
-def _pauli_sun(n: int) -> NamedOperatorSet:
-    """The su(2) instance of the internal-symmetry generators: tau = sigma/2."""
-    return internal_symmetry_generators(2, HALF_SIGMA, sites=n)
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +363,7 @@ OPERATOR_SETS: dict[str, OperatorSetKind] = {
         lambda n: poincare_set(n, reconstructed=True), poincare_table),
     "poincare-mutated": OperatorSetKind(
         lambda n: poincare_set(n).perturbed("J3", 0, 2), poincare_table),
-    "sun": OperatorSetKind(lambda n: _pauli_sun(n),
+    "sun": OperatorSetKind(lambda n: internal_symmetry_generators(2, HALF_SIGMA),
                            lambda: sun_table(3, pauli_half_structure)),
     "laplacian": OperatorSetKind(lambda n: complex_laplacian()),
     "oscillator": OperatorSetKind(lambda n: oscillator(n)),
@@ -389,10 +383,9 @@ def build_operators(which: str, n: int = 1) -> NamedOperatorSet:
 
 
 def verify_commutator_table(opset: NamedOperatorSet,
-                            table: Iterable[TableEntry],
-                            suite: str | None = None) -> list[RelationReport]:
+                            table: Iterable[TableEntry]) -> list[RelationReport]:
     """Exact residual report for every relation [A,B] = sum c_k C_k."""
-    suite = suite or f"lie:{opset.name}"
+    suite = f"lie:{opset.name}"
     reports = []
     for label_a, label_b, combo in table:
         rhs = " + ".join(f"({c})*{lbl}" for c, lbl in combo) or "0"
@@ -421,7 +414,17 @@ def verify_invariance(target: DiffOp, gens: NamedOperatorSet,
 def verify_substitution_invariance(target: DiffOp,
                                    subs: Iterable[tuple[str, LinearSub]],
                                    target_name: str = "target") -> list[RelationReport]:
-    """Report substitute(target, A) = target for supplied exact group elements."""
+    """Report substitute(target, A) = target for supplied exact group elements.
+
+    A substitution that maps no variable of the target leaves it as it is,
+    so its row would compare the target with itself: ValueError.
+    """
+    subs = list(subs)
+    touched = {v for (mults, derivs), _ in target.term_items() for v, _ in mults + derivs}
+    for name, sub in subs:
+        if touched.isdisjoint(sub.images):
+            raise ValueError(f"{name} maps no variable of {target_name}, "
+                             "so its check would be vacuous")
     return [relation_report("invariance:finite",
                             f"{target_name} o {name} = {target_name}",
                             expected=target, actual=target.substitute(sub))

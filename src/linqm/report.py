@@ -94,7 +94,7 @@ def all_passed(reports: Iterable[RelationReport]) -> bool:
     return all(r.passed for r in reports)
 
 
-def reports_payload(reports: Iterable[RelationReport], **extra) -> dict:
+def reports_payload(reports: Iterable[RelationReport], /, **extra) -> dict:
     """Report file body; an empty relation list verifies nothing and fails."""
     ordered = sort_reports(reports)
     payload = {
@@ -109,18 +109,19 @@ def render_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def render_text(reports: Iterable[RelationReport]) -> str:
-    ordered = sort_reports(reports)
+def render_text(payload: dict) -> str:
+    """The text form of a ``reports_payload``.  Its rows are sorted and hold
+    the texts a report file stores, so a fresh run and ``linqm report`` on
+    its file print the same bytes."""
+    rows = payload["relations"]
     lines = []
-    for r in ordered:
-        mark = "PASS" if r.passed else "FAIL"
-        lines.append(f"[{mark}] {r.suite} :: {r.relation}")
-        if not r.passed:
-            lines.append(f"       expected: {clip(r.expected, 200)}")
-            lines.append(f"       actual:   {clip(r.actual, 200)}")
-            lines.append(f"       residual: {clip(r.residual, 200)}")
-    n_fail = sum(1 for r in ordered if not r.passed)
-    lines.append(f"{len(ordered) - n_fail}/{len(ordered)} relations pass")
+    for r in rows:
+        lines.append(f"[{'PASS' if r['pass'] else 'FAIL'}] {r['suite']} :: {r['relation']}")
+        if not r["pass"]:
+            lines += [f"       {key + ':':9s} {clip(r[key], 200)}"
+                      for key in ("expected", "actual", "residual")]
+    n_pass = sum(r["pass"] for r in rows)
+    lines.append(f"{n_pass}/{len(rows)} relations pass")
     return "\n".join(lines) + "\n"
 
 

@@ -281,7 +281,7 @@ def casimir_spectrum(gens: NamedOperatorSet, space: RepSpace,
     """
     labels = gens.labels()[:3]
     table = cyclic_table(tuple(labels))
-    checks = verify_commutator_table(gens, table, suite="casimir-precheck")
+    checks = verify_commutator_table(gens, table)
     if not all(r.passed for r in checks):
         raise ValueError("generators do not close under the cyclic table")
     mat = matrix_rep(casimir_operator(gens, labels), space)

@@ -235,11 +235,24 @@ def test_finite_unitaries_past_the_cap_are_a_usage_error(capsys):
 
 
 def test_finite_unitaries_at_the_cap_are_accepted(capsys):
-    code, out, _ = run_cli(["verify", "invariance", "--target", "oscillator",
+    code, out, _ = run_cli(["verify", "invariance", "--target", "laplacian",
                             "--gens", "su2", "--n", "2", "--finite-unitaries", "100"],
                            capsys)
     assert code == 0
     assert "A99" in out
+
+
+def test_finite_unitaries_on_the_oscillator_are_refused(tmp_path, capsys):
+    """The unitaries act on the doublet (u, v), which the oscillator does not
+    hold: every row would compare the oscillator with itself."""
+    out_file = tmp_path / "osc.json"
+    code, out, err = run_cli(["verify", "invariance", "--target", "oscillator",
+                              "--gens", "su2", "--n", "2", "--finite-unitaries", "3",
+                              "--out", str(out_file)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("linqm: error: ")
+    assert not out_file.exists()
 
 
 def test_fock_car_cli(capsys):
@@ -374,7 +387,7 @@ def test_overflowing_amplitude_writes_no_report(fmt, tmp_path, capsys):
     code, out, err = run_cli(["sim", "branch", str(scenario), "--format", fmt,
                               "--out", str(out_file)], capsys)
     assert code == 1
-    assert "Infinity" not in out
+    assert out == ""
     assert err.startswith("linqm: error: ")
     assert not out_file.exists()
 
@@ -543,7 +556,30 @@ def test_report_verdict_comes_from_the_rows(fmt, tmp_path, capsys):
                                          "pass": True}))
     code, out, _ = run_cli(["report", str(contradicting), "--format", fmt], capsys)
     assert code == 2
-    assert fmt == "json" or out.endswith("0/1 relations pass\n")
+    if fmt == "json":
+        assert json.loads(out)["pass"] is False
+    else:
+        assert out.endswith("0/1 relations pass\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lie", "--set", "su2"],
+    ["verify", "spacetime", "--random-eta", "3", "--n", "4"],  # clipped texts
+    ["fock", "car", "--modes", "2", "--printed-variant"],
+    ["repr", "homomorphism", "--degree", "3", "--pairs", "3", "--seed", "2"],
+    ["sim", "branch", "mirror.json"],
+], ids=["lie", "spacetime", "fock-car", "repr-homomorphism", "sim-branch"])
+def test_report_reproduces_the_original_run(argv, tmp_path, capsys, monkeypatch):
+    """``linqm report`` on a file prints what the run that wrote it printed,
+    in either format, and exits with its code."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mirror.json").write_text(json.dumps(
+        {"scenario": "mirror", "params": {"amps": [[0.6, 0.0], [0.0, 0.8]]}}))
+    code, text, _ = run_cli(argv + ["--out", "run.json"], capsys)
+    stored = (tmp_path / "run.json").read_text(encoding="utf-8")
+    assert run_cli(argv + ["--format", "json"], capsys) == (code, stored, "")
+    assert run_cli(["report", "run.json", "--format", "json"], capsys) == (code, stored, "")
+    assert run_cli(["report", "run.json", "--format", "text"], capsys) == (code, text, "")
 
 
 def test_relation_report_renders_equal_operators_once(monkeypatch):

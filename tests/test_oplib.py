@@ -146,6 +146,16 @@ def test_finite_unitary_invariance_of_laplacian():
     assert all_passed(oplib.verify_substitution_invariance(lap, subs))
 
 
+def test_substitution_that_misses_the_target_is_refused():
+    """Unitaries on (u, v) leave the oscillator's u[b,i], v[b,i] alone: a row
+    would compare the operator with itself, and a perturbed one would pass."""
+    rng = random.Random(7)
+    subs = [("A0", reps.substitution_of_matrix(reps.random_su2(rng)))]
+    for osc in (oplib.oscillator(2), oplib.oscillator(2).perturbed("O", 4, 2)):
+        with pytest.raises(ValueError, match="maps no variable of oscillator"):
+            oplib.verify_substitution_invariance(osc["O"], subs, target_name="oscillator")
+
+
 def test_affine_flow_invariance_of_oscillator():
     # the printed images preserve the pairing operator except on the
     # defective third-direction slice, where the reconstructed set differs

@@ -14,8 +14,11 @@ SeedSequence(master).spawn(run); the nonlinear scheme evolves all runs in
 lockstep from SeedSequence(master), drawing a chunk of pair choices and
 signs at a time.  It evaluates each chunk a block of steps at a time, yet
 every weight equals the one a step-at-a-time loop over the same draws
-computes, bit for bit (see ``_run_ruin``).  Identical configurations give
-byte-identical outputs.
+computes, bit for bit (see ``_run_ruin``).  Its integer draws are made at
+32 bits and then narrowed: for a range below 2**32 numpy's bounded draw is
+one 32-bit stream whatever the output dtype, so the values and the
+generator state after them are those of a default-dtype draw, at half the
+memory.  Identical configurations give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -206,8 +209,9 @@ def _ruin_step(w: np.ndarray, i, j, sign: np.ndarray, dt: float) -> np.ndarray:
 def _ruin_signs(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     """Steps of +-1 as int8: the values, and the generator state after, of
     ``rng.choice((-1.0, 1.0), shape)``, which draws these same integers and
-    indexes by them, without its float64 temporary."""
-    signs = rng.integers(0, 2, size=shape).astype(np.int8)
+    indexes by them, without its float64 temporary.  The integers are drawn
+    at 32 bits, the same stream as choice's int64 draw, and then narrowed."""
+    signs = rng.integers(0, 2, size=shape, dtype=np.int32).astype(np.int8)
     signs += signs
     signs -= 1
     return signs
@@ -357,8 +361,8 @@ def _run_ruin(cfg: CollapseConfig) -> tuple[list[RunTrace], CollapseSummary]:
         pairs = None  # two outcomes: always the pair (0, 1)
         if n > 2:
             idx = np.min_scalar_type(-2 * n)  # holds i + offset < 2n
-            i_sel = rng.integers(0, n, size=(chunk, m)).astype(idx)
-            j_sel = i_sel + rng.integers(1, n, size=(chunk, m)).astype(idx)
+            i_sel = rng.integers(0, n, size=(chunk, m), dtype=np.int32).astype(idx)
+            j_sel = i_sel + rng.integers(1, n, size=(chunk, m), dtype=np.int32).astype(idx)
             j_sel -= (j_sel >= n) * idx.type(n)  # (i + offset) mod n
             pairs = (i_sel, j_sel)
         signs = _ruin_signs(rng, (chunk, m))

@@ -1,16 +1,19 @@
 import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linqm import cli, report
+from linqm import branching, cli, report
 from linqm.weyl import DiffOp, Var
 
 
@@ -602,6 +605,64 @@ def test_relation_report_renders_equal_operators_once(monkeypatch):
 
 def test_empty_reports_payload_does_not_pass():
     assert report.reports_payload([])["pass"] is False
+
+
+def _dumps(payload) -> str:
+    """The oracle ``render_json`` must reproduce byte for byte."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_TEXTS = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\U0001f600'))
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.sampled_from([2**64, -(10**300), -0.0, 5e-324, 1e308, 0.1])
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.floats(allow_nan=False, allow_infinity=False).map(np.float64) | _TEXTS)
+_PAYLOADS = st.recursive(_SCALARS, lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                                                 | st.dictionaries(_TEXTS, kids)),
+                         max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PAYLOADS)
+def test_render_json_is_json_dumps(payload):
+    assert report.render_json(payload) == _dumps(payload)
+
+
+@pytest.mark.parametrize("bad", [
+    float("nan"), float("inf"), float("-inf"), np.float64("nan"),  # ValueError
+    np.bool_(False), set(), object(), np.int64(1),  # TypeError
+], ids=["nan", "inf", "-inf", "np-nan", "np-bool", "set", "object", "np-int64"])
+def test_render_json_refuses_what_json_dumps_refuses(bad):
+    payload = {"relations": [], "value": [{"deep": bad}]}
+    with pytest.raises((TypeError, ValueError)) as want:
+        _dumps(payload)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        report.render_json(payload)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None, ("a",)])
+def test_render_json_refuses_keys_that_are_not_strings(key):
+    """json.dumps coerces number, bool and None keys to strings; a report's
+    keys are always strings, so render_json refuses the rest instead."""
+    with pytest.raises(TypeError):
+        report.render_json({"ok": 0, "nested": {key: 0}})
+
+
+def test_ledger_renders_within_three_times_its_length():
+    """The 4,096-branch ledger renders without holding every chunk of its
+    text at once, as json's pure-Python encoder does (6.9 times its length)."""
+    doc = _coin_flips(12)
+    state, reports = branching.run_scenario("custom", dict(doc["params"], rules=doc["rules"]))
+    payload = report.reports_payload(reports, scenario="custom",
+                                     branches=branching.ledger_payload(state))
+    tracemalloc.start()
+    try:
+        text = report.render_json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(payload["branches"]) == 4096 and text == _dumps(payload)
+    assert peak <= 3 * len(text)
 
 
 def _fresh_python(code, *args, cwd=None):

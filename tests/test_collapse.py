@@ -308,6 +308,20 @@ def test_ruin_signs_are_the_choice_stream(shape, seed):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (256, 257)])
+def test_ruin_draws_at_32_bits_are_the_default_stream(shape):
+    """``_run_ruin`` draws pairs and signs as int32: below 2**32 numpy's
+    bounded draw is one 32-bit stream whatever the dtype, so each draw, and
+    the generator state after it, equals the default (int64) draw's."""
+    rng = np.random.default_rng(np.random.SeedSequence(3))
+    ref = np.random.default_rng(np.random.SeedSequence(3))
+    for n in range(2, collapse.MAX_OUTCOMES + 1):
+        for low, high in ((0, n), (1, n), (0, 2)):
+            got = rng.integers(low, high, size=shape, dtype=np.int32)
+            assert np.array_equal(got, ref.integers(low, high, size=shape))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_blocked_ruin_matches_stepwise_past_int8_outcome_indices():
     """70 outcomes: i + offset reaches 138, beyond the int8 range."""
     _assert_same_as_stepwise(cfg_probs(range(1, 71), "nonlinear_ruin", runs=40, seed=4,

@@ -23,18 +23,13 @@ from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .report import RelationReport, relation_report
+from .report import RelationReport
 from .scalar import ONE, ZERO, Scalar, rational_sqrt
-from .weyl import DiffOp
 
 Label = Hashable
 
 # Factors a permutation sum takes: k factors build k! kets, and 8 give 40,320.
 MAX_LABELS = 8
-
-
-class AsymmetricInteraction(ValueError):
-    """A two-set interaction template was not exchange symmetric."""
 
 
 # ----------------------------------------------------------------------
@@ -56,9 +51,6 @@ class LabeledKet:
     @staticmethod
     def of(*factors: tuple[Label, int]) -> "LabeledKet":
         return LabeledKet(tuple(factors))
-
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(lbl for lbl, _ in self.factors)
 
     def sets(self) -> tuple[int, ...]:
         return tuple(s for _, s in self.factors)
@@ -90,12 +82,6 @@ class KetSum:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def scale_sqrt(self, ratio: Fraction) -> "KetSum":
-        """Multiply the state by sqrt(ratio) exactly."""
-        if ratio <= 0:
-            raise ValueError("ratio must be positive")
-        return KetSum(self.terms, self.norm2 * ratio)
 
     def scale(self, c: Scalar) -> "KetSum":
         return KetSum.build({k: a * c for k, a in self.terms}, self.norm2)
@@ -178,17 +164,6 @@ def symmetrize(product: LabeledKet) -> KetSum:
     return _permutation_sum(product, signed=False)
 
 
-def project(ketsum: KetSum, projector) -> KetSum:
-    """Linear extension of a product-level (anti)symmetrizer to a sum."""
-    out = KetSum((), ketsum.norm2)
-    for ket, amp in ketsum.terms:
-        part = projector(ket)
-        if part.is_zero:
-            continue
-        out = out + KetSum(part.terms, part.norm2 * ketsum.norm2).scale(amp)
-    return out
-
-
 # ----------------------------------------------------------------------
 # occupation states and ladder operators
 # ----------------------------------------------------------------------
@@ -209,9 +184,6 @@ class FockState:
 
     def occupied(self, mode: int) -> bool:
         return bool((self.bits >> mode) & 1)
-
-    def occupation(self) -> int:
-        return self.bits.bit_count()
 
     def __str__(self) -> str:
         return "|" + "".join("1" if self.occupied(m) else "0"
@@ -331,57 +303,3 @@ def verify_car(modes: int, include_printed_variant: bool = False
                       f"a*({i})a({j}) + a({i})a*({j}) = delta({i},{j})I",
                       cre[i] @ ann[j], ann[i] @ cre[j], i == j)
     return reports
-
-
-def number_operator(modes: int) -> np.ndarray:
-    """Dense integer matrix of sum_m a*(m) a(m) on the 2^M basis."""
-    total = np.zeros((1 << modes, 1 << modes), dtype=np.int64)
-    for m in range(modes):
-        n_m = ladder_matrix(modes, "create", m) @ ladder_matrix(modes, "annihilate", m)
-        total[n_m.target, np.arange(1 << modes)] += n_m.sign
-    return total
-
-
-# ----------------------------------------------------------------------
-# multi-set operators
-# ----------------------------------------------------------------------
-@dataclass
-class MultiSetOperator:
-    """Assembled operator: one-body copies plus pairwise interactions.
-
-    Templates are written in site index 1 (one-body) and sites 1, 2
-    (two-body); instantiation relabels the sites.  The two-body template
-    must be symmetric under exchanging its two sites, enforced here.
-    """
-
-    n_sets: int
-    one_body: DiffOp
-    interaction: DiffOp | None = None
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n_sets <= 4:
-            raise ValueError("set count must be between 1 and 4")
-        if self.interaction is not None:
-            swapped = self.interaction.map_sites({1: 2, 2: 1})
-            if swapped != self.interaction:
-                raise AsymmetricInteraction(
-                    "interaction template changes under site exchange")
-
-    def assembled(self) -> DiffOp:
-        total = DiffOp.zero()
-        for m in range(1, self.n_sets + 1):
-            total = total + self.one_body.map_sites({1: m})
-        if self.interaction is not None:
-            for m in range(1, self.n_sets + 1):
-                for n in range(1, self.n_sets + 1):
-                    if m != n:
-                        total = total + self.interaction.map_sites({1: m, 2: n})
-        return total
-
-
-def verify_permutation_invariance(op: MultiSetOperator) -> list[RelationReport]:
-    """Exact exchange-symmetry reports for every transposition of sets."""
-    total = op.assembled()
-    return [relation_report("permutation-invariance", f"exchange sets {m} <-> {n}",
-                            expected=total, actual=total.map_sites({m: n, n: m}))
-            for m in range(1, op.n_sets + 1) for n in range(m + 1, op.n_sets + 1)]

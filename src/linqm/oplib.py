@@ -370,9 +370,9 @@ OPERATOR_SETS: dict[str, OperatorSetKind] = {
 }
 LIE_SETS = [name for name, kind in OPERATOR_SETS.items() if kind.table]
 TARGETS = [name for name, kind in OPERATOR_SETS.items() if not kind.table]
-# The sets made of P0..P3 alone, which translation_flow_check reads.
-FLOW_SETS = [name for name, kind in OPERATOR_SETS.items()
-             if kind.table is translation_table]
+# The sets made of P0..P3 alone, which the flow and scaling suites read.
+TRANSLATION_SETS = [name for name, kind in OPERATOR_SETS.items()
+                    if kind.table is translation_table]
 
 
 def build_operators(which: str, n: int = 1) -> NamedOperatorSet:
@@ -702,6 +702,25 @@ def diagonal_bilinears(n: int) -> list[DiffOp]:
                     v = Var(fam, b, i, conj)
                     out.append(_mono(ONE, v, v))
     return out
+
+
+def verify_scaling(pset: NamedOperatorSet) -> tuple[list[Scalar], list[RelationReport]]:
+    """The dilation: search_scaling_generator over diagonal_bilinears at
+    lam = 1, and the report of [G, P_mu] = i P_mu and [G, O] = 0 for the G it
+    finds.  Returns the coefficients and the rows; both are empty when no G
+    exists, and an empty report fails."""
+    found = search_scaling_generator(pset, diagonal_bilinears(pset.sites), ONE)
+    if found is None:
+        return [], []
+    coeffs, g = found
+    suite = f"scaling:{pset.name}"
+    reports = [relation_report(suite, f"[G,P{mu}] = (i)*P{mu}",
+                               expected=pset[f"P{mu}"].scale(I),
+                               actual=g.commutator(pset[f"P{mu}"]))
+               for mu in range(4)]
+    reports.append(relation_report(suite, "[G,O] = 0", expected=DiffOp.zero(),
+                                   actual=g.commutator(oscillator(pset.sites)["O"])))
+    return coeffs, reports
 
 
 # ----------------------------------------------------------------------

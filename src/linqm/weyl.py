@@ -629,12 +629,6 @@ class LinearSub:
             pieces.append(piece)
         return DiffOp.sum(pieces)
 
-    def compose(self, first: "LinearSub") -> "LinearSub":
-        """The map 'apply ``first``, then self' (self o first)."""
-        images = {**self.images,
-                  **{var: self.apply(img) for var, img in first.images.items()}}
-        return LinearSub({var: _linear_terms(img) for var, img in images.items()})
-
 
 def _linear_terms(img: DiffOp) -> list[tuple[Scalar, Var]]:
     """The (coefficient, variable) pairs of a linear polynomial."""

@@ -62,7 +62,9 @@ LIE_SETS = ["xyz", "su2", "lorentz", "translations", "translations-reconstructed
     (["verify", "invariance"], "gens", LIE_SETS),
     (["verify", "translation-flow"], "set",
      ["translations", "translations-reconstructed"]),
-], ids=["lie", "hermiticity", "invariance-target", "invariance-gens", "translation-flow"])
+    (["verify", "scaling"], "set", ["translations", "translations-reconstructed"]),
+], ids=["lie", "hermiticity", "invariance-target", "invariance-gens", "translation-flow",
+        "scaling"])
 def test_operator_set_choices_in_order(path, dest, expected):
     # argparse prints these lists in usage and error text.
     assert list(_parser_choices(path, dest)) == expected
@@ -86,7 +88,7 @@ def _readme_commands():
 
 def test_readme_commands_parse():
     commands = _readme_commands()
-    assert len(commands) == 15
+    assert len(commands) == 16
     for line in commands:
         words = shlex.split(line)
         assert words[0] == "linqm", line
@@ -95,6 +97,25 @@ def test_readme_commands_parse():
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
         assert callable(args.fn), line
+
+
+def _leaf_commands(parser, path=()):
+    """The word paths of every subcommand that has no subcommands of its own."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [list(path)]
+    return [leaf for name, child in subs[0].choices.items()
+            for leaf in _leaf_commands(child, path + (name,))]
+
+
+def test_readme_shows_every_subcommand():
+    """Each verb is documented, and so each exact verb is also run by
+    test_exact_commands_never_load_numpy."""
+    shown = [shlex.split(line)[1:] for line in _readme_commands()]
+    leaves = _leaf_commands(cli.build_parser())
+    assert len(leaves) == 13
+    assert [leaf for leaf in leaves
+            if not any(words[:len(leaf)] == leaf for words in shown)] == []
 
 
 def test_parser_reuse_leaks_nothing_between_calls(capsys):
@@ -197,12 +218,20 @@ def test_repr_sizes_past_the_caps_are_usage_errors(args, capsys):
     ["verify", "invariance", "--n", "257"],
     ["verify", "translation-flow", "--n", "257"],
     ["verify", "spacetime", "--n", "13"],  # cli.MAX_SPACETIME_SITES
+    ["verify", "scaling", "--n", "33"],  # cli.MAX_SCALING_SITES
 ])
 def test_verify_site_counts_past_the_caps_are_usage_errors(args, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("linqm: error: ")
+
+
+def test_scaling_refuses_a_set_not_made_of_translations(capsys):
+    code, out, err = run_cli(["verify", "scaling", "--set", "poincare"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "invalid choice: 'poincare'" in err
 
 
 def test_spacetime_eta_file_past_the_site_cap_is_a_usage_error(tmp_path, capsys):
@@ -221,6 +250,7 @@ def test_verify_site_counts_at_the_caps_are_accepted(capsys):
     assert run_cli(["verify", "lie", "--set", "xyz", "--n", "256"], capsys)[0] == 0
     # the printed translations fail their [P2,x] relations, so this exits 2
     assert run_cli(["verify", "spacetime", "--n", "12"], capsys)[0] == 2
+    assert run_cli(["verify", "scaling", "--n", "32"], capsys)[0] == 0
 
 
 def test_repr_sizes_at_the_caps_are_accepted(capsys):
@@ -418,6 +448,7 @@ def test_collapse_run_cli(tmp_path, capsys):
     ["--amps", "0.5,0.5", "--runs", "40000", "--steps", "60000"],  # MAX_RUN_STEPS
     ["--amps", ",".join(["1"] * 20_000), "--steps", "1"],  # collapse.MAX_OUTCOMES
     ["--amps", "1,1,1,1,1", "--runs", "1", "--steps", "800001"],  # MAX_OUTCOME_STEPS
+    ["--amps", "1"],  # one outcome leaves the chi-square test nothing to check
 ])
 def test_collapse_run_bad_input_exits_one(extra, tmp_path, capsys):
     out_file = tmp_path / "bad.json"
@@ -571,7 +602,8 @@ def test_report_verdict_comes_from_the_rows(fmt, tmp_path, capsys):
     ["fock", "car", "--modes", "2", "--printed-variant"],
     ["repr", "homomorphism", "--degree", "3", "--pairs", "3", "--seed", "2"],
     ["sim", "branch", "mirror.json"],
-], ids=["lie", "spacetime", "fock-car", "repr-homomorphism", "sim-branch"])
+    ["verify", "scaling", "--set", "translations", "--n", "2"],
+], ids=["lie", "spacetime", "fock-car", "repr-homomorphism", "sim-branch", "scaling"])
 def test_report_reproduces_the_original_run(argv, tmp_path, capsys, monkeypatch):
     """``linqm report`` on a file prints what the run that wrote it printed,
     in either format, and exits with its code."""

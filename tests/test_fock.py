@@ -1,16 +1,14 @@
 import itertools
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linqm import fock, oplib
+from linqm import fock
 from linqm.report import all_passed
 from linqm.scalar import ONE
-from linqm.weyl import DiffOp, Var
 
 
 # ----------------------------------------------------------------------
@@ -65,15 +63,6 @@ def test_full_quantum_number_tuples_work_as_labels():
     assert fock.antisymmetrize(
         fock.LabeledKet.of((electron, 1), (electron, 2))).is_zero
     assert sorted([electron, positron]) == [positron, electron]  # by s_z, then Q
-
-
-def test_projector_idempotent_up_to_normalization():
-    for labels in (("A", "B"), ("A", "B", "C")):
-        product = fock.LabeledKet.of(*[(l, i + 1) for i, l in enumerate(labels)])
-        k = len(labels)
-        anti = fock.antisymmetrize(product)
-        twice = fock.project(anti, fock.antisymmetrize)
-        assert twice == anti.scale_sqrt(Fraction(factorial(k)))
 
 
 def test_antisymmetrized_states_are_sign_eigenvectors():
@@ -199,13 +188,6 @@ def test_nonzero_entries_match_a_dense_sum(maps):
         assert abs(got).max() == abs(expected).max()
 
 
-def test_number_operator_counts_occupation():
-    n = fock.number_operator(4)
-    occ = [fock.FockState(4, b).occupation() for b in range(16)]
-    assert np.array_equal(np.diag(n), np.array(occ))
-    assert np.count_nonzero(n - np.diag(np.diag(n))) == 0
-
-
 # ----------------------------------------------------------------------
 # Slater-sign equivalence
 # ----------------------------------------------------------------------
@@ -237,34 +219,3 @@ def test_slater_signs_match_antisymmetrizer(k):
             parity = perm_parity(perm)
             assert anti == (base if parity == 1 else -base)
             assert ladder_sign(modes, perm) == parity
-
-
-# ----------------------------------------------------------------------
-# multi-set operators
-# ----------------------------------------------------------------------
-def symmetric_interaction() -> DiffOp:
-    a = DiffOp.variable(Var("u", 1, 1)) * DiffOp.variable(Var("v", 1, 2))
-    return a + a.map_sites({1: 2, 2: 1})
-
-
-def test_permutation_invariance_passes():
-    one = oplib.oscillator(1)["O"]
-    for n in (2, 3, 4):
-        op = fock.MultiSetOperator(n, one, symmetric_interaction())
-        assert all_passed(fock.verify_permutation_invariance(op))
-
-
-def test_free_case_passes():
-    op = fock.MultiSetOperator(2, oplib.oscillator(1)["O"], None)
-    assert all_passed(fock.verify_permutation_invariance(op))
-
-
-def test_asymmetric_interaction_rejected_at_construction():
-    lopsided = DiffOp.variable(Var("u", 1, 1)) * DiffOp.variable(Var("v", 1, 2))
-    with pytest.raises(fock.AsymmetricInteraction):
-        fock.MultiSetOperator(3, oplib.oscillator(1)["O"], lopsided)
-
-
-def test_set_count_bounds():
-    with pytest.raises(ValueError):
-        fock.MultiSetOperator(5, oplib.oscillator(1)["O"], None)

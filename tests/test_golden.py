@@ -15,7 +15,8 @@ at a time to cumulative sums over blocks of steps; the ``fock car`` digests
 before the ladder operators moved from ``scipy.sparse`` matrices to signed
 partial permutations; the one-site lie digests of the other eight sets, the
 laplacian and oscillator hermiticity digests and the degree-3 text repr
-table before the named operator sets moved into one registry.
+table before the named operator sets moved into one registry; the
+two-site scaling digest when ``verify scaling`` first reported the search.
 """
 
 import hashlib
@@ -75,6 +76,8 @@ GOLDEN = [
      "e9a4edae44281025592f2febcbbd7e1d3108ab4e76ad79f6f141bb477f094d74"),
     (["repr", "table", "--degree", "3"], 0,
      "983b35872d74ea4a2e1d9997dbc769e38ec9fe8b20a362435faacdd739e6f8fa"),
+    (["verify", "scaling", "--set", "translations-reconstructed", "--n", "2"], 0,
+     "5c605b5a905e20c7ca25385b39f153924b97bf9deacb307b3fe857ced471c4e9"),
 ]
 
 # verify lie --set S --n 1: (set, exit code, digest).

@@ -1,10 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from linqm import oplib, reps
+from linqm import cli, oplib, reps
 from linqm.report import all_passed, sort_reports
 from linqm.scalar import I, ONE, ZERO, Scalar
 from linqm.weyl import DiffOp, LinearSub, Var
@@ -350,6 +351,17 @@ def test_scaling_search_coefficients_are_pinned(reconstructed, n, expected, lam)
     p = oplib.translation_generators(n, reconstructed)
     coeffs, _ = oplib.search_scaling_generator(p, oplib.diagonal_bilinears(n), lam)
     assert " ".join(str(c) for c in coeffs) == expected[lam]
+
+
+@pytest.mark.parametrize("name", oplib.TRANSLATION_SETS)
+@pytest.mark.parametrize("n, expected", [(1, _SCALING_ONE_SITE), (2, _SCALING_TWO_SITES)])
+def test_verify_scaling_reports_the_pinned_dilation(name, n, expected, capsys):
+    """``verify scaling`` solves at lam = 1 and reports the pinned answer."""
+    code = cli.main(["verify", "scaling", "--set", name, "--n", str(n),
+                     "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["pass"] and len(payload["relations"]) == 5
+    assert " ".join(payload["coefficients"]) == expected[1]
 
 
 def test_scaling_search_infeasible():

@@ -171,14 +171,6 @@ invertible_subs = st.one_of(unit_lower, unit_upper, unit_real)
 
 
 @settings(max_examples=30, deadline=None)
-@given(invertible_subs, invertible_subs, operators())
-def test_substitution_composes(first, second, op):
-    one_by_one = op.substitute(first).substitute(second)
-    composed = op.substitute(second.compose(first))
-    assert one_by_one == composed
-
-
-@settings(max_examples=30, deadline=None)
 @given(invertible_subs, polynomials(), polynomials())
 def test_substitution_linear_on_polys(sub, f, g):
     assert sub.apply(f + g) == sub.apply(f) + sub.apply(g)

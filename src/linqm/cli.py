@@ -20,10 +20,10 @@ from fractions import Fraction
 from . import linalg, oplib, report, reps
 from .scalar import Scalar
 
-# collapse and fock load numpy, and collapse also scipy.special; each
-# simulator command imports its module, so the exact commands and ``sim
-# branch`` start without either.  ``collapse run --scheme`` choices, in the
-# order of collapse.SCHEMES:
+# collapse and fock load numpy (collapse loads scipy.special only past
+# chi2.MAX_DOF degrees of freedom); each simulator command imports its
+# module, so the exact commands and ``sim branch`` start without either.
+# ``collapse run --scheme`` choices, in the order of collapse.SCHEMES:
 SCHEMES = ("linear_drift", "linear_noise", "nonlinear_ruin")
 
 # Random pairs one ``repr homomorphism`` call checks: each costs two group

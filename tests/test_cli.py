@@ -709,10 +709,44 @@ def _fresh_python(code, *args, cwd=None):
 def test_cli_import_does_not_load_scipy_stats():
     """scipy.stats would take most of each command's start-up time, and
     scipy.sparse is not needed: ladder operators are signed permutations.
-    numpy and scipy load only when a simulator command runs."""
+    numpy loads only when a simulator command runs, and scipy only for a
+    collapse verdict past ``chi2.MAX_DOF`` degrees of freedom."""
     probe = ("import sys, linqm.cli; print(*(m in sys.modules for m in "
              "('scipy.stats', 'scipy.sparse', 'numpy', 'scipy')))")
     assert _fresh_python(probe).stdout.split() == ["False"] * 4
+
+
+_COLLAPSE_PROBE = (
+    "import contextlib, io, json, sys\n"
+    "from linqm import cli\n"
+    "reports = []\n"
+    "for n in json.loads(sys.argv[1]):\n"
+    "    out = io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out):\n"
+    "        code = cli.main(['collapse', 'run', '--scheme', 'linear_drift',\n"
+    "                         '--amps', ','.join(['1'] * n), '--runs', '40',\n"
+    "                         '--seed', '1', '--steps', '2000'])\n"
+    "    reports.append([code, json.loads(out.getvalue())])\n"
+    "print(json.dumps([reports, sorted(m for m in sys.modules\n"
+    "                                  if m.split('.')[0] == 'scipy')]))\n")
+
+
+def test_collapse_run_loads_no_scipy_up_to_forty_degrees_of_freedom():
+    """The chi-square tail is plain Python through dof 40 (41 outcomes)."""
+    reports, loaded = json.loads(_fresh_python(_COLLAPSE_PROBE, "[2, 3, 41]").stdout)
+    assert [code for code, _ in reports] == [0, 0, 0]
+    assert all(r["chi2"] is not None for _, r in reports)
+    assert loaded == []
+
+
+def test_collapse_run_past_forty_degrees_of_freedom_takes_scipys_tail():
+    """At 42 outcomes (dof 41) the tail is scipy.special.chdtrc's, imported
+    then and only then."""
+    from scipy.special import chdtrc
+    [[code, report]], loaded = json.loads(_fresh_python(_COLLAPSE_PROBE, "[42]").stdout)
+    assert code == 0 and report["chi2"] is not None
+    assert "scipy.special" in loaded
+    assert report["p_value"] == float(chdtrc(41, report["chi2"]))
 
 
 def test_exact_commands_never_load_numpy(tmp_path):

@@ -1,10 +1,13 @@
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
-from linqm import collapse
+from linqm import chi2, collapse
 from linqm.collapse import (ABSORPTION_EPS, _RUIN_CHUNK, CollapseConfig,
                             CollapseSummary, RunTrace, _summarize)
 
@@ -159,6 +162,78 @@ def test_born_p_value_matches_scipy_stats_chi2(dof):
         assert report.p_value == float(stats.chi2.sf(report.chi2, dof))
         assert report.passed == (report.p_value >= 2 * stats.norm.sf(3.0))
     assert collapse.THREE_SIGMA_P == 2 * stats.norm.sf(3.0)
+
+
+# ----------------------------------------------------------------------
+# chi-square tail: scipy.special.chdtrc, which only the tests import, is
+# the oracle, compared bit for bit
+# ----------------------------------------------------------------------
+def _assert_scipy_tail(dof, x):
+    got = chi2.chdtrc(dof, x)
+    assert type(got) is float
+    assert got.hex() == float(special.chdtrc(dof, x)).hex(), (dof, x)
+
+
+def _chi2_oracle_points():
+    """A seeded grid over dof 1-127, then each dispatch boundary of Cephes
+    igamc, in a = dof / 2 and h = x / 2, with its neighbouring floats."""
+    rng = random.Random(0)
+    points = []
+    for dof in range(1, 128):
+        for _ in range(20):
+            points += [(dof, rng.uniform(0.0, 2000.0)),
+                       (dof, rng.uniform(0.0, 3.0 * dof)),
+                       (dof, 10.0 ** rng.uniform(-8.0, 3.3))]
+    for dof in range(1, chi2.MAX_DOF + 1):
+        a = dof / 2
+        edges = [0.5, 1.1, a / 1.1, 1.4 * a, 0.6 * a, math.exp(-0.4 / a)]
+        for h in edges:
+            x = 2 * h
+            for _ in range(8):
+                x = math.nextafter(x, 0.0)
+            for _ in range(17):
+                points.append((dof, x))
+                x = math.nextafter(x, math.inf)
+    return points
+
+
+def test_chi2_tail_is_scipys_bit_for_bit():
+    points = _chi2_oracle_points()
+    assert len(points) == 11_700
+    for dof, x in points:
+        _assert_scipy_tail(dof, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 127), st.floats(0.0, 2000.0))
+def test_chi2_tail_is_scipys_on_hypothesis_draws(dof, x):
+    _assert_scipy_tail(dof, x)
+
+
+def test_chi2_tail_at_zero_and_in_underflow():
+    for dof in range(1, chi2.MAX_DOF + 1):
+        _assert_scipy_tail(dof, 0.0)
+        assert chi2.chdtrc(dof, 0.0) == 1.0 == chi2.chdtrc(dof, -1.0)
+    # At dof 1 the prefactor x**a exp(-x) / Gamma(a), a = 1/2, falls below
+    # exp(-709.78) and is flushed to zero from about x = 1427 on.
+    _assert_scipy_tail(1, 1500.0)
+    assert chi2.chdtrc(1, 1500.0) == 0.0 < chi2.chdtrc(1, 1400.0)
+
+
+def test_chi2_tail_delegates_to_scipy_past_max_dof(monkeypatch):
+    """Past MAX_DOF Cephes takes Temme's expansion near x = dof, which the
+    port leaves to scipy; up to it, scipy is never called."""
+    calls = []
+
+    def recorder(dof, x):
+        calls.append((dof, x))
+        return np.float64(0.25)
+
+    monkeypatch.setattr(special, "chdtrc", recorder)
+    assert chi2.chdtrc(chi2.MAX_DOF, 40.0) != 0.25 and calls == []
+    got = chi2.chdtrc(chi2.MAX_DOF + 1, 40.0)
+    assert got == 0.25 and type(got) is float
+    assert calls == [(chi2.MAX_DOF + 1, 40.0)]
 
 
 def test_deterministic_given_config():

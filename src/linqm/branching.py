@@ -574,6 +574,7 @@ def eigen_branch_check(m: np.ndarray, x: np.ndarray, y: np.ndarray,
 # serialization helpers
 # ----------------------------------------------------------------------
 def ledger_payload(state: StateVector) -> list[dict]:
-    return [{"amplitude": [b.amplitude.real, b.amplitude.imag],
-             "records": dict(sorted(b.records.items()))}
+    """One entry per branch: its amplitude as [real, imag] and its own
+    record map, not a copy; ``report.render_json`` sorts the keys."""
+    return [{"amplitude": [b.amplitude.real, b.amplitude.imag], "records": b.records}
             for b in state.branches]

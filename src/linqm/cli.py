@@ -289,8 +289,6 @@ def cmd_sim_branch(args) -> int:
 def cmd_collapse_run(args) -> int:
     from . import collapse
     probs = [float(tok) for tok in args.amps.split(",")]
-    if len(probs) < 2:  # the chi-square verdict of one outcome checks nothing
-        raise ValueError(f"--amps needs at least 2 outcomes, got {len(probs)}")
     cfg = collapse.CollapseConfig.from_probs(
         probs, args.scheme, args.runs, args.seed,
         dt=args.dt, steps=args.steps)

@@ -15,10 +15,12 @@ lockstep from SeedSequence(master), drawing a chunk of pair choices and
 signs at a time.  It evaluates each chunk a block of steps at a time, yet
 every weight equals the one a step-at-a-time loop over the same draws
 computes, bit for bit (see ``_run_ruin``).  Its integer draws are made at
-32 bits and then narrowed: for a range below 2**32 numpy's bounded draw is
-one 32-bit stream whatever the output dtype, so the values and the
-generator state after them are those of a default-dtype draw, at half the
-memory.  Identical configurations give byte-identical outputs.
+32 bits, in slabs of one stream narrowed into small-integer arrays: for a
+range below 2**32 numpy's bounded draw reads one 32-bit stream whatever
+the output dtype, and keeps nothing between calls but the generator's own
+state, so consecutive slabs give the values, and the generator state after
+them, of one default-dtype draw, with one slab's temporary.  Identical
+configurations give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -40,11 +42,12 @@ LINEAR_SCHEMES = ("linear_drift", "linear_noise")
 SCHEMES = LINEAR_SCHEMES + ("nonlinear_ruin",)
 
 # Size caps: the schemes hold arrays of runs by outcomes, a linear run one
-# of steps by outcomes, and a ruin block one of up to _RUIN_BLOCK (steps x
-# rows) cells per outcome; the work grows as runs x steps.  At the outcome
-# caps an accepted configuration peaked at 240 MB (linear, 31,250 steps) to
-# 620 MB (ruin, 100,000 runs).  A configuration past these is refused rather
-# than left to fail inside numpy.
+# of steps by outcomes, and a ruin sub-block one of about 2 * _RUIN_BLOCK
+# (steps x outcomes x rows) cells, but at least one step of every live run;
+# the work grows as runs x steps.  At the outcome caps an accepted
+# configuration peaked at 240 MB (linear, 31,250 steps) to 710 MB (ruin,
+# 100,000 runs, over its first 256-step chunk).  A configuration past these
+# is refused rather than left to fail inside numpy.
 MAX_RUNS = 100_000
 MAX_STEPS = 1_000_000
 MAX_RUN_STEPS = 2 * 10**9
@@ -75,6 +78,8 @@ class CollapseConfig:
                              f"at most {MAX_STEPS:,}")
         if self.runs * self.steps > MAX_RUN_STEPS:
             raise ValueError(f"runs x steps must be at most {MAX_RUN_STEPS:,}")
+        if self.n < 2:  # one outcome leaves the chi-square verdict nothing to check
+            raise ValueError(f"at least 2 outcomes, got {self.n}")
         if self.n > MAX_OUTCOMES:
             raise ValueError(f"at most {MAX_OUTCOMES} outcomes, got {self.n:,}")
         if self.n * self.steps > MAX_OUTCOME_STEPS:
@@ -189,8 +194,11 @@ def _run_linear(cfg: CollapseConfig) -> tuple[list[RunTrace], CollapseSummary]:
 
 
 _RUIN_CHUNK = 256
-# Elements in each (steps x rows) array of a sub-block: with few live rows
-# one sub-block spans the whole chunk, with many it is a handful of steps.
+# Elements in each (steps x rows) array of a sub-block, and in each slab of
+# draws.  The float buffer of a sub-block is (steps x outcomes x rows), so
+# its step budget counts outcomes: 2 * _RUIN_BLOCK cells whatever n is.  With
+# few live rows one sub-block spans the whole chunk, with many it is a
+# handful of steps.
 _RUIN_BLOCK = 1 << 17
 # From this many (rows x coordinates) one np.add per step outruns
 # np.cumsum, whose accumulation is a scalar loop.
@@ -208,12 +216,28 @@ def _ruin_step(w: np.ndarray, i, j, sign: np.ndarray, dt: float) -> np.ndarray:
     return np.maximum(wi, wj) >= 1.0 - ABSORPTION_EPS
 
 
+def _draw(rng: np.random.Generator, low: int, high: int, shape: tuple[int, int],
+          dtype: np.dtype | type) -> np.ndarray:
+    """``rng.integers(low, high, shape)`` as ``dtype``: the same values, and
+    the same generator state after, drawn at 32 bits in slabs of
+    ``_RUIN_BLOCK`` and narrowed into the output.  A bounded 32-bit draw
+    reads one ``next_uint32`` stream and keeps no buffer of its own between
+    calls, so consecutive slabs continue one whole draw value for value."""
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for s in range(0, flat.size, _RUIN_BLOCK):
+        part = flat[s:s + _RUIN_BLOCK]
+        part[...] = rng.integers(low, high, size=part.size, dtype=np.int32)
+    return out
+
+
 def _ruin_signs(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     """Steps of +-1 as int8: the values, and the generator state after, of
     ``rng.choice((-1.0, 1.0), shape)``, which draws these same integers and
     indexes by them, without its float64 temporary.  The integers are drawn
-    at 32 bits, the same stream as choice's int64 draw, and then narrowed."""
-    signs = rng.integers(0, 2, size=shape, dtype=np.int32).astype(np.int8)
+    at 32 bits in slabs of one stream (``_draw``), the same stream as
+    choice's int64 draw, and narrowed as they are drawn."""
+    signs = _draw(rng, 0, 2, shape, np.int8)
     signs += signs
     signs -= 1
     return signs
@@ -249,11 +273,11 @@ def _ruin_block(w: np.ndarray, live: np.ndarray, signs: np.ndarray,
         t0 = int(first.min())
         span, width = steps - t0, rows.size
         cols = slice(None) if width == m else rows  # the opening round slices
-        if pairs is not None:
-            eq_i = pairs[0][t0:, cols][:, None] == coords
-            eq_j = pairs[1][t0:, cols][:, None] == coords
-            d = eq_i.view(np.int8) - eq_j.view(np.int8)
-            touched = eq_i | eq_j
+        if pairs is not None:  # d is +1 on i and -1 on j; i != j
+            d = (pairs[1][t0:, cols][:, None] == coords).view(np.int8)
+            touched = pairs[0][t0:, cols][:, None] == coords
+            np.subtract(touched.view(np.int8), d, out=d)
+            np.not_equal(d, 0, out=touched)
         c = np.empty((span + 1, n, width))
         c[0] = w[cols].T
         # No increment on steps before a row's restart point, nor on pairs
@@ -267,7 +291,9 @@ def _ruin_block(w: np.ndarray, live: np.ndarray, signs: np.ndarray,
         q = signs[t0:, cols] * live[rows].view(np.int8)
         if idle is not None:
             q *= ~idle
-        np.multiply(q[:, None] * d, dt, out=c[1:])
+        # this round's own d is scaled in place; the two-outcome d broadcasts
+        np.multiply(np.multiply(q[:, None], d, out=None if pairs is None else d),
+                    dt, out=c[1:])
         # Sequential accumulation: each row is the one before plus +-dt or
         # +-0, so it equals the stepwise w + s and w - s bit for bit.
         if width * n < _RUIN_WIDE:
@@ -363,14 +389,15 @@ def _run_ruin(cfg: CollapseConfig) -> tuple[list[RunTrace], CollapseSummary]:
         pairs = None  # two outcomes: always the pair (0, 1)
         if n > 2:
             idx = np.min_scalar_type(-2 * n)  # holds i + offset < 2n
-            i_sel = rng.integers(0, n, size=(chunk, m), dtype=np.int32).astype(idx)
-            j_sel = i_sel + rng.integers(1, n, size=(chunk, m), dtype=np.int32).astype(idx)
+            i_sel = _draw(rng, 0, n, (chunk, m), idx)
+            j_sel = _draw(rng, 1, n, (chunk, m), idx)
+            j_sel += i_sel
             j_sel -= (j_sel >= n) * idx.type(n)  # (i + offset) mod n
             pairs = (i_sel, j_sel)
         signs = _ruin_signs(rng, (chunk, m))
         live = np.ones(m, dtype=bool)  # compaction keeps only live rows
         traced = int(np.searchsorted(alive, k_rec))  # alive is sorted
-        block = max(1, min(chunk, _RUIN_BLOCK // m))
+        block = max(1, min(chunk, 2 * _RUIN_BLOCK // (m * n)))
         for t0 in range(0, chunk, block):
             t1 = min(t0 + block, chunk)
             hit, path = _ruin_block(

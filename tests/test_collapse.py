@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,11 +137,14 @@ def test_ruin_absorbing_start():
     assert born.passed
 
 
-def test_single_outcome_trivially_collapses():
-    cfg = cfg_probs([1.0], "nonlinear_ruin", runs=40, seed=3)
-    _, summary = collapse.run_scheme(cfg)
-    assert summary.winner_counts == [40]
-    assert collapse.born_test(summary, cfg.amplitudes).passed
+def test_config_refuses_a_single_outcome():
+    """One outcome leaves the chi-square verdict no degree of freedom, so it
+    would pass whatever the run did.  A second outcome of weight zero is
+    accepted: the verdict then checks that it never wins."""
+    for scheme in collapse.SCHEMES:
+        with pytest.raises(ValueError, match="at least 2 outcomes"):
+            cfg_probs([1.0], scheme, runs=40, seed=3)
+        cfg_probs([1.0, 0.0], scheme, runs=40, seed=3)
 
 
 def test_born_test_rejects_impossible_winner():
@@ -395,6 +399,56 @@ def test_ruin_draws_at_32_bits_are_the_default_stream(shape):
             got = rng.integers(low, high, size=shape, dtype=np.int32)
             assert np.array_equal(got, ref.integers(low, high, size=shape))
             assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 1), (7, 3),  # odd sizes inside one slab
+    (2, collapse._RUIN_BLOCK // 2),  # exactly one slab
+    (3, collapse._RUIN_BLOCK // 2 + 1),  # odd, one and a half slabs
+])
+def test_slab_draws_are_one_whole_draw(shape):
+    """``_draw`` fills its narrow output one ``_RUIN_BLOCK`` slab at a time;
+    the values, and the whole generator state after them (the buffered
+    half of a 64-bit output included), are those of one int32 draw."""
+    rng = np.random.default_rng(np.random.SeedSequence(5))
+    ref = np.random.default_rng(np.random.SeedSequence(5))
+    for gen in (rng, ref):  # take half of one 64-bit output, keep the other
+        gen.integers(0, 3, size=1, dtype=np.int32)
+    buffered = False
+    for n in range(2, collapse.MAX_OUTCOMES + 1):
+        dtype = np.min_scalar_type(-2 * n)
+        for low, high in ((0, n), (1, n), (0, 2)):
+            got = collapse._draw(rng, low, high, shape, dtype)
+            want = ref.integers(low, high, size=shape, dtype=np.int32)
+            assert got.dtype == dtype and np.array_equal(got, want)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            buffered |= bool(rng.bit_generator.state["has_uint32"])
+    assert buffered  # some slab started on a buffered half
+
+
+def _bench_ruin(probs, runs, steps):
+    """A ``bench/workloads.py`` ruin job's configuration (seed 7)."""
+    return cfg_probs(probs, "nonlinear_ruin", runs, 7, steps=steps)
+
+
+@pytest.mark.parametrize("cfg", [_bench_ruin([0.3, 0.7], 4000, 20_000),
+                                 _bench_ruin([0.2, 0.3, 0.5], 2000, 60_000)],
+                         ids=["ruin-2", "ruin-3"])
+def test_ruin_run_holds_its_draws_and_two_sub_block_buffers(cfg):
+    """A ruin run holds one chunk's narrow draws (pairs and signs, one byte
+    a cell) and its sub-block working set, which is sized across outcomes
+    to about two float buffers of ``2 * _RUIN_BLOCK`` cells.  Chunk-sized
+    int32 draws or sub-blocks sized per row alone break the bound."""
+    collapse.run_scheme(_bench_ruin([1, 2, 3], 5, 10))  # imports and caches
+    draws = _RUIN_CHUNK * cfg.runs * (1 if cfg.n == 2 else 3)
+    buffer = 8 * 2 * collapse._RUIN_BLOCK
+    tracemalloc.start()
+    try:
+        collapse.run_scheme(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= draws + 2 * buffer
 
 
 def test_blocked_ruin_matches_stepwise_past_int8_outcome_indices():

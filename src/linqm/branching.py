@@ -19,18 +19,17 @@ them to adjacent-lane paths).
 
 from __future__ import annotations
 
-import cmath
 import inspect
 import math
 import numbers
+import random
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
+from . import linalg
 from .report import RelationReport
-
-if TYPE_CHECKING:
-    import numpy as np
+from .scalar import ONE, Scalar, ScalarLike, gaussian
 
 NORM_TOL = 1e-12
 # Size caps.  Every branch carries one record per subsystem, so the ledger
@@ -518,56 +517,64 @@ def coefficient_independence_check(name: str, params_a: Mapping,
 # ----------------------------------------------------------------------
 # branch energy-eigenstate lemma
 # ----------------------------------------------------------------------
-@dataclass
-class EigenBranchReport:
-    hypothesis_holds: bool
-    conclusion_holds: bool
-    implication_ok: bool
-    worst_hypothesis_residual: float
-    worst_conclusion_residual: float
+# Unit Gaussian-rational phase pairs (c, d); any two separate x and y in c x + d y.
+PHASES = ((ONE, ONE), (gaussian(3, 4, 5), gaussian(5, -12, 13)),
+          (gaussian(-4, 3, 5), gaussian(8, 15, 17)))
+# `verify lemmas` checks the lemma on this many instances, the count of its
+# acceptance test, at dimensions 2 to 8, and on controls at dimensions 3 to 8,
+# drawn from this seed.
+EIGEN_BRANCH_INSTANCES, EIGEN_BRANCH_CONTROLS, EIGEN_BRANCH_SEED = 50, 10, 0
 
 
-def eigen_branch_check(m: np.ndarray, x: np.ndarray, y: np.ndarray,
-                       eigenvalue: complex,
-                       phases: Sequence[tuple[float, float]],
-                       hypothesis_tol: float = 1e-10,
-                       conclusion_tol: float = 1e-9) -> EigenBranchReport:
-    """Check that phase-robust eigenvalue equations split componentwise.
+def eigen_branch_check(m: linalg.Matrix, x: linalg.Vector, y: linalg.Vector,
+                       eigenvalue: ScalarLike, phases: Sequence[tuple[Scalar, Scalar]],
+                       label: str, control: bool = False) -> RelationReport:
+    """The row of the phase-separation lemma on one instance: if M (c x + d y)
+    = E (c x + d y) for every phase pair (c, d), then M x = E x and M y = E y.
+    It shows both exact residuals, and passes when both are zero, never on a
+    failed hypothesis.  A control row states that the hypothesis fails, and
+    passes when it does.  DegeneratePhases unless two pairs have a nonzero
+    determinant c1 d2 - d1 c2."""
+    if not any(c1 * d2 != d1 * c2 for i, (c1, d1) in enumerate(phases)
+               for c2, d2 in phases[i + 1:]):
+        raise DegeneratePhases("no two phase pairs separate the components")
 
-    Hypothesis: M (e^{i theta} x + e^{i phi} y) = E (...) within tolerance
-    for every supplied phase pair.  Conclusion: M x = E x and M y = E y.
-    At least two phase pairs with a well-conditioned phase matrix are
-    required, otherwise the separation argument is degenerate.
-    """
-    if len(phases) < 2:
-        raise DegeneratePhases("need at least two phase pairs")
-    coeffs = [(cmath.exp(1j * th), cmath.exp(1j * ph)) for th, ph in phases]
-    best_det = max(abs(c1 * d2 - d1 * c2)
-                   for i, (c1, d1) in enumerate(coeffs)
-                   for c2, d2 in coeffs[i + 1:])
-    if best_det < 1e-6:
-        raise DegeneratePhases("phase pairs do not separate the components")
+    def residual(v: linalg.Vector) -> linalg.Vector:
+        return [a - eigenvalue * b for a, b in zip(linalg.mat_vec(m, v), v)]
 
-    import numpy as np  # the one array check; the ledger never loads numpy
+    hypothesis = linalg.vector_text([r for c, d in phases for r in residual(
+        [c * a + d * b for a, b in zip(x, y)])])
+    conclusion = linalg.vector_text(residual(x) + residual(y))
+    actual = f"hypothesis {hypothesis}, conclusion {conclusion}"
+    if control:
+        holds, expected = hypothesis != "0", "hypothesis nonzero"
+        claim = "!= E(cx+dy) for some phase pair (control)"
+    else:
+        holds, expected = hypothesis == conclusion == "0", "hypothesis 0, conclusion 0"
+        claim = f"= E(cx+dy) for {len(phases)} phase pairs => Mx = Ex, My = Ey"
+    return RelationReport("eigen-branch", f"{label}: M(cx+dy) {claim}", expected, actual,
+                          "0" if holds else actual, holds)
 
-    m = np.asarray(m, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    worst_h = 0.0
-    for c, d in coeffs:
-        vec = c * x + d * y
-        worst_h = max(worst_h, float(np.linalg.norm(m @ vec - eigenvalue * vec)))
-    res_x = float(np.linalg.norm(m @ x - eigenvalue * x))
-    res_y = float(np.linalg.norm(m @ y - eigenvalue * y))
-    hypothesis = worst_h <= hypothesis_tol
-    conclusion = max(res_x, res_y) <= conclusion_tol
-    return EigenBranchReport(
-        hypothesis_holds=hypothesis,
-        conclusion_holds=conclusion,
-        implication_ok=(not hypothesis) or conclusion,
-        worst_hypothesis_residual=worst_h,
-        worst_conclusion_residual=max(res_x, res_y),
-    )
+
+def eigen_branch_lemma() -> list[RelationReport]:
+    """The rows `verify lemmas` reports, lemma instances first.  M has an
+    integer eigenvalue E on its first two eigenvectors, and x is the first.
+    In an instance y combines the first two, inside E's eigenspace; in a
+    control y is the third, of another eigenvalue."""
+    rng = random.Random(EIGEN_BRANCH_SEED)
+    rows = []
+    for k in range(EIGEN_BRANCH_INSTANCES + EIGEN_BRANCH_CONTROLS):
+        control = k >= EIGEN_BRANCH_INSTANCES
+        e = rng.randint(-4, 4)
+        spectrum = [e, e] + [e + rng.choice((-1, 1)) * rng.randint(1, 4)
+                             for _ in range(rng.randint(1 if control else 0, 6))]
+        m, vecs = linalg.random_hermitian(rng, spectrum)
+        c = gaussian(rng.randint(1, 3), rng.randint(-3, 3), 1)
+        y = vecs[2] if control else [a + c * b for a, b in zip(vecs[0], vecs[1])]
+        name = f"control {k - EIGEN_BRANCH_INSTANCES:02d}" if control else f"instance {k:02d}"
+        rows.append(eigen_branch_check(m, vecs[0], y, e, PHASES,
+                                       f"{name} (dim {len(spectrum)})", control))
+    return rows
 
 
 # ----------------------------------------------------------------------

@@ -185,6 +185,12 @@ def cmd_verify_scaling(args) -> int:
                            coefficients=[str(c) for c in coeffs])
 
 
+def cmd_verify_lemmas(args) -> int:
+    from . import branching
+    return _emit_relations(oplib.variational_lemma() + branching.eigen_branch_lemma(), args,
+                           phases=[[str(c), str(d)] for c, d in branching.PHASES])
+
+
 # ----------------------------------------------------------------------
 # repr subcommands
 # ----------------------------------------------------------------------
@@ -384,6 +390,10 @@ def build_parser() -> Parser:
     p.add_argument("--n", type=_positive_int, default=1)
     common(p)
     p.set_defaults(fn=cmd_verify_scaling)
+
+    p = vsub.add_parser("lemmas", help="the variational and phase-separation lemmas")
+    common(p)
+    p.set_defaults(fn=cmd_verify_lemmas)
 
     rep = sub.add_parser("repr", help="representation tables")
     rsub = rep.add_subparsers(dest="repr_command", required=True, parser_class=Parser)

@@ -377,7 +377,7 @@ def _run_ruin(cfg: CollapseConfig) -> tuple[list[RunTrace], CollapseSummary]:
     absorbed_step[initially_done] = 0
 
     alive = np.nonzero(~initially_done)[0]
-    w = w_final[alive].copy()
+    w = w_final[alive]
 
     k_rec = min(cfg.record_traces, runs)
     rec = [w_final[:k_rec, None].copy()] if k_rec else []

@@ -1,13 +1,17 @@
 """Dense exact linear algebra over Gaussian-rational scalars.
 
 Only desk-scale matrices pass through here (substitution blocks, scaling
-generator searches), so plain Gauss-Jordan elimination with exact pivots
-is all that is needed.
+generator searches, the Cayley unitaries and hermitian matrices of the
+variational and phase-separation lemmas), so plain Gauss-Jordan
+elimination with exact pivots is all that is needed.
 """
 
 from __future__ import annotations
 
-from .scalar import ONE, ZERO, Scalar
+import random
+from typing import Sequence
+
+from .scalar import ONE, ZERO, Scalar, gaussian
 
 Matrix = list[list[Scalar]]
 Vector = list[Scalar]
@@ -39,6 +43,11 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
             acc = acc + x * y
         out.append(acc)
     return out
+
+
+def vector_text(v: Vector) -> str:
+    """``0`` for a zero vector, else its entries in brackets."""
+    return "[" + ", ".join(map(str, v)) + "]" if any(v) else "0"
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
@@ -106,3 +115,23 @@ def nullspace(a: Matrix) -> list[Vector]:
             v[c] = -red[r][f]
         basis.append(v)
     return basis
+
+
+def random_hermitian(rng: random.Random, spectrum: Sequence[int]) -> tuple[Matrix, list[Vector]]:
+    """Exact hermitian U diag(spectrum) U^dagger and the columns of U, its
+    eigenvectors.  U = (I - K)(I + K)^-1 is the Cayley transform of a random
+    skew-hermitian K with small Gaussian-integer entries: K's eigenvalues are
+    imaginary, so I + K is always invertible and U is exactly unitary."""
+    n = len(spectrum)
+    k = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        k[i][i] = gaussian(0, rng.randint(-2, 2), 1)
+        for j in range(i + 1, n):
+            k[i][j] = gaussian(rng.randint(-2, 2), rng.randint(-2, 2), 1)
+            k[j][i] = -k[i][j].conjugate()
+    plus = [[ONE + x if i == j else x for j, x in enumerate(row)] for i, row in enumerate(k)]
+    minus = [[ONE - x if i == j else -x for j, x in enumerate(row)] for i, row in enumerate(k)]
+    u = mat_mul(minus, invert(plus))
+    op = [[sum((d * a * b.conjugate() for d, a, b in zip(spectrum, ri, rj)), ZERO)
+           for rj in u] for ri in u]
+    return op, [list(col) for col in zip(*u)]

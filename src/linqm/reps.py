@@ -266,10 +266,6 @@ def spin_spectrum(sz: RepMatrix) -> list[Fraction]:
     return _real_diagonal(sz, "z-spin generator")
 
 
-def casimir_operator(gens: NamedOperatorSet, labels: Sequence[str]) -> DiffOp:
-    return DiffOp.sum(gens[lbl] * gens[lbl] for lbl in labels)
-
-
 def casimir_spectrum(gens: NamedOperatorSet, space: RepSpace,
                      ) -> tuple[RepMatrix, list[tuple[Fraction, list[int]]]]:
     """Exact matrix of the quadratic invariant of the first three generators
@@ -284,7 +280,7 @@ def casimir_spectrum(gens: NamedOperatorSet, space: RepSpace,
     checks = verify_commutator_table(gens, table)
     if not all(r.passed for r in checks):
         raise ValueError("generators do not close under the cyclic table")
-    mat = matrix_rep(casimir_operator(gens, labels), space)
+    mat = matrix_rep(DiffOp.sum(gens[lbl] * gens[lbl] for lbl in labels), space)
     blocks: dict[Fraction, list[int]] = {}
     for i, lam in enumerate(_real_diagonal(mat, "invariant")):
         blocks.setdefault(lam, []).append(i)

@@ -1,10 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from linqm import branching
+from linqm import branching, linalg
 from linqm.report import all_passed
+from linqm.scalar import I, ONE, gaussian
 
 R = 1 / math.sqrt(2)
 
@@ -224,39 +226,44 @@ def test_structures_differ_across_scenarios():
 # ----------------------------------------------------------------------
 # eigenvalue lemma
 # ----------------------------------------------------------------------
-def random_hermitian_with_eigenpair(rng, dim):
-    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (h + h.conj().T) / 2
-    vals, vecs = np.linalg.eigh(h)
-    vals = vals.copy()
-    vals[1] = vals[0]  # force a two-dimensional eigenspace
-    return (vecs * vals) @ vecs.conj().T, vecs, vals
+def hermitian_with_eigenpair(seed, dim):
+    """M with the eigenvalue 2 on its first two eigenvectors and -1, -2, ...
+    on the others, and its eigenvectors."""
+    return linalg.random_hermitian(random.Random(seed), [2, 2] + [-k for k in range(1, dim - 1)])
 
 
-PHASES = [(0.0, 0.0), (1.0, 2.0), (0.4, -1.3)]
+PHASES = [(ONE, ONE), (gaussian(3, 4, 5), gaussian(5, -12, 13))]
 
 
 def test_lemma_shared_eigenspace():
-    rng = np.random.default_rng(0)
-    m, vecs, vals = random_hermitian_with_eigenpair(rng, 6)
-    rep = branching.eigen_branch_check(m, vecs[:, 0], vecs[:, 1], vals[0], PHASES)
-    assert rep.hypothesis_holds and rep.conclusion_holds and rep.implication_ok
+    m, cols = hermitian_with_eigenpair(0, 6)
+    y = [a + b * gaussian(1, 2, 1) for a, b in zip(cols[0], cols[1])]
+    row = branching.eigen_branch_check(m, cols[0], y, 2, PHASES, "shared")
+    assert row.passed and row.residual == "0"
+    assert row.actual == "hypothesis 0, conclusion 0"
 
 
 def test_lemma_vacuous_when_eigenvalues_differ():
-    rng = np.random.default_rng(1)
-    m, vecs, vals = random_hermitian_with_eigenpair(rng, 6)
-    rep = branching.eigen_branch_check(m, vecs[:, 0], vecs[:, 2], vals[0], PHASES)
-    assert not rep.hypothesis_holds and not rep.conclusion_holds
-    assert rep.implication_ok
+    """y of eigenvalue -1 breaks the hypothesis.  As a lemma instance the row
+    fails instead of passing on the failed hypothesis; as a control it passes."""
+    m, cols = hermitian_with_eigenpair(1, 6)
+    row = branching.eigen_branch_check(m, cols[0], cols[2], 2, PHASES, "differ")
+    assert not row.passed and row.residual == row.actual
+    assert not row.actual.startswith("hypothesis 0")
+    control = branching.eigen_branch_check(m, cols[0], cols[2], 2, PHASES, "differ",
+                                           control=True)
+    assert control.passed and control.residual == "0"
+    same = branching.eigen_branch_check(m, cols[0], cols[1], 2, PHASES, "same",
+                                        control=True)
+    assert not same.passed and same.residual == same.actual
+    assert same.actual.startswith("hypothesis 0,")
 
 
 def test_lemma_requires_generic_phases():
-    rng = np.random.default_rng(2)
-    m, vecs, vals = random_hermitian_with_eigenpair(rng, 4)
+    m, cols = hermitian_with_eigenpair(2, 4)
     with pytest.raises(branching.DegeneratePhases):
-        branching.eigen_branch_check(m, vecs[:, 0], vecs[:, 1], vals[0],
-                                     [(0.0, 0.0)])
+        branching.eigen_branch_check(m, cols[0], cols[1], 2, [(ONE, ONE)], "one pair")
     with pytest.raises(branching.DegeneratePhases):
-        branching.eigen_branch_check(m, vecs[:, 0], vecs[:, 1], vals[0],
-                                     [(0.0, 0.0), (1.0, 1.0)])
+        branching.eigen_branch_check(m, cols[0], cols[1], 2, [(ONE, ONE), (I, I)],
+                                     "parallel pairs")
+

@@ -88,7 +88,7 @@ def _readme_commands():
 
 def test_readme_commands_parse():
     commands = _readme_commands()
-    assert len(commands) == 16
+    assert len(commands) == 17
     for line in commands:
         words = shlex.split(line)
         assert words[0] == "linqm", line
@@ -113,7 +113,7 @@ def test_readme_shows_every_subcommand():
     test_exact_commands_never_load_numpy."""
     shown = [shlex.split(line)[1:] for line in _readme_commands()]
     leaves = _leaf_commands(cli.build_parser())
-    assert len(leaves) == 13
+    assert len(leaves) == 14
     assert [leaf for leaf in leaves
             if not any(words[:len(leaf)] == leaf for words in shown)] == []
 
@@ -225,6 +225,13 @@ def test_verify_site_counts_past_the_caps_are_usage_errors(args, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("linqm: error: ")
+
+
+def test_lemmas_take_no_size_option(capsys):
+    code, out, err = run_cli(["verify", "lemmas", "--n", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --n 2" in err
 
 
 def test_scaling_refuses_a_set_not_made_of_translations(capsys):
@@ -603,7 +610,9 @@ def test_report_verdict_comes_from_the_rows(fmt, tmp_path, capsys):
     ["repr", "homomorphism", "--degree", "3", "--pairs", "3", "--seed", "2"],
     ["sim", "branch", "mirror.json"],
     ["verify", "scaling", "--set", "translations", "--n", "2"],
-], ids=["lie", "spacetime", "fock-car", "repr-homomorphism", "sim-branch", "scaling"])
+    ["verify", "lemmas"],
+], ids=["lie", "spacetime", "fock-car", "repr-homomorphism", "sim-branch", "scaling",
+        "lemmas"])
 def test_report_reproduces_the_original_run(argv, tmp_path, capsys, monkeypatch):
     """``linqm report`` on a file prints what the run that wrote it printed,
     in either format, and exits with its code."""
@@ -770,8 +779,8 @@ def test_exact_commands_never_load_numpy(tmp_path):
 
 
 def test_sim_branch_never_loads_numpy(tmp_path):
-    """The branch ledger is plain Python: only ``eigen_branch_check`` needs
-    numpy, so a ``sim branch`` process never pays its import."""
+    """The branch ledger is plain Python, and so a ``sim branch`` process
+    never pays numpy's import."""
     (tmp_path / "mirror.json").write_text(json.dumps({"scenario": "mirror"}))
     probe = ("import contextlib, io, sys\n"
              "from linqm import cli\n"

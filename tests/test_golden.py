@@ -16,7 +16,9 @@ before the ladder operators moved from ``scipy.sparse`` matrices to signed
 partial permutations; the one-site lie digests of the other eight sets, the
 laplacian and oscillator hermiticity digests and the degree-3 text repr
 table before the named operator sets moved into one registry; the
-two-site scaling digest when ``verify scaling`` first reported the search.
+two-site scaling digest when ``verify scaling`` first reported the search;
+the lemmas digest when ``verify lemmas`` first reported the variational
+and phase-separation lemmas in exact arithmetic.
 """
 
 import hashlib
@@ -78,6 +80,8 @@ GOLDEN = [
      "983b35872d74ea4a2e1d9997dbc769e38ec9fe8b20a362435faacdd739e6f8fa"),
     (["verify", "scaling", "--set", "translations-reconstructed", "--n", "2"], 0,
      "5c605b5a905e20c7ca25385b39f153924b97bf9deacb307b3fe857ced471c4e9"),
+    (["verify", "lemmas"], 0,
+     "fc9b69c010a807bc11e11da8356113fb51ad7693fd12f075b469b3aec3235a60"),
 ]
 
 # verify lie --set S --n 1: (set, exit code, digest).

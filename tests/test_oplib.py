@@ -2,12 +2,11 @@ import json
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from linqm import cli, oplib, reps
+from linqm import cli, linalg, oplib, reps
 from linqm.report import all_passed, sort_reports
-from linqm.scalar import I, ONE, ZERO, Scalar
+from linqm.scalar import I, ONE, ZERO, Scalar, gaussian
 from linqm.weyl import DiffOp, LinearSub, Var
 
 
@@ -206,24 +205,11 @@ def default_eta(n=2):
     return eta
 
 
-def test_rational_expr_cross_multiplied_equality():
-    u = DiffOp.variable(Var("u"))
-    v = DiffOp.variable(Var("v"))
-    # u/v equals (u*v)/(v*v) without any normal-form reduction
-    assert oplib.RationalExpr(u, v) == oplib.RationalExpr(u * v, v * v)
-    assert oplib.RationalExpr(u, v) != oplib.RationalExpr(v, u)
-    with pytest.raises(ZeroDivisionError):
-        oplib.RationalExpr(u, DiffOp.zero())
-    with pytest.raises(ValueError):
-        oplib.RationalExpr(u * DiffOp.derivative(Var("u")), v)
-
-
 def test_spacetime_map_well_formed():
     st = oplib.build_spacetime_map(default_eta())
     assert not st.z.is_zero
     assert len(st.numerators) == 4
-    x0 = st.expr(0)
-    assert x0 == oplib.RationalExpr(st.numerators[0] * st.z, st.z * st.z)
+    assert all(x.is_polynomial and not x.is_zero for x in st.numerators + [st.z])
 
 
 def test_degenerate_eta():
@@ -374,29 +360,39 @@ def test_scaling_search_infeasible():
 # ----------------------------------------------------------------------
 # variational equivalence
 # ----------------------------------------------------------------------
-def _hermitian_with_kernel(rng, dim=5, kernel_dim=2):
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim))
-                        + 1j * rng.standard_normal((dim, dim)))
-    vals = np.concatenate([np.zeros(kernel_dim),
-                           rng.uniform(0.5, 2.0, dim - kernel_dim)
-                           * rng.choice([-1, 1], dim - kernel_dim)])
-    return (q * vals) @ q.conj().T, q
+def _hermitian_with_kernel(seed):
+    """O with eigenvalues 0, 0, 1, -2, 3, and its eigenvectors."""
+    return linalg.random_hermitian(random.Random(seed), [0, 0, 1, -2, 3])
 
 
 def test_variational_kernel_and_eigenvector():
-    rng = np.random.default_rng(2)
-    op, q = _hermitian_with_kernel(rng)
-    mix = q[:, 0] * 0.6 + q[:, 1] * 0.8
-    assert oplib.variational_equivalence_check(op, mix) == (True, True)
-    assert oplib.variational_equivalence_check(op, q[:, 3]) == (False, False)
+    op, vecs = _hermitian_with_kernel(2)
+    mix = [a * gaussian(3, 0, 5) + b * gaussian(0, 4, 5) for a, b in zip(vecs[0], vecs[1])]
+    row = oplib.variational_equivalence_check(op, mix, "kernel")
+    assert (row.passed, row.expected, row.actual) == (True, "O psi = 0", "grad = 0")
+    row = oplib.variational_equivalence_check(op, vecs[3], "eigenvector")
+    assert row.passed and row.residual == "0"
+    assert row.expected != "O psi = 0" and row.actual != "grad = 0"
+
+
+def test_variational_gradient_is_twice_o_psi():
+    """The unit-step central difference is exact: the gradient over Re psi_k
+    and Im psi_k is 2 Re (O psi)_k and 2 Im (O psi)_k."""
+    op, vecs = _hermitian_with_kernel(5)
+    psi = [a + b * I for a, b in zip(vecs[2], vecs[4])]
+    want = [Scalar(2 * part) for z in linalg.mat_vec(op, psi) for part in (z.re, z.im)]
+    row = oplib.variational_equivalence_check(op, psi, "psi")
+    assert row.actual == f"grad = {linalg.vector_text(want)}"
 
 
 def test_variational_rejects_non_hermitian():
-    rng = np.random.default_rng(3)
+    op, vecs = _hermitian_with_kernel(3)
+    op[0][1] = op[0][1] + 1  # one entry off by one
     with pytest.raises(oplib.NotHermitian):
-        oplib.variational_equivalence_check(
-            rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)),
-            np.ones(4))
+        oplib.variational_equivalence_check(op, vecs[0], "psi")
+    op[0][1] = op[0][1] - 1
+    with pytest.raises(ValueError, match="nonzero"):
+        oplib.variational_equivalence_check(op, [ZERO] * 5, "psi")
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -132,6 +133,22 @@ def test_solve_and_nullspace():
     for v in basis:
         assert all(e.is_zero for e in linalg.mat_vec(a, v))
     assert linalg.solve(a, [Scalar.of(1), Scalar.of(1)]) is None
+
+
+@pytest.mark.parametrize("spectrum", [[1], [0, 3], [0, 3, 3, -2], [2, 2, 0, 0, 1, -1, 4, -3]])
+def test_random_hermitian_is_exact(spectrum):
+    """The Cayley unitary's columns are exactly orthonormal eigenvectors of
+    the hermitian matrix, each with its entry of the spectrum as eigenvalue."""
+    n = len(spectrum)
+    rng = random.Random(n)
+    for _ in range(3):
+        op, vecs = linalg.random_hermitian(rng, spectrum)
+        gram = [[sum((a.conjugate() * b for a, b in zip(v, w)), ZERO) for w in vecs]
+                for v in vecs]
+        assert gram == linalg.identity(n)
+        assert all(op[j][k] == op[k][j].conjugate() for j in range(n) for k in range(n))
+        for lam, v in zip(spectrum, vecs):
+            assert linalg.mat_vec(op, v) == [lam * x for x in v]
 
 
 @settings(max_examples=200, deadline=None)

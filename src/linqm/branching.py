@@ -59,7 +59,7 @@ class DegeneratePhases(ValueError):
 # ----------------------------------------------------------------------
 # branches, rules, evolution
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     amplitude: complex
     records: Mapping[str, str]
@@ -582,6 +582,6 @@ def eigen_branch_lemma() -> list[RelationReport]:
 # ----------------------------------------------------------------------
 def ledger_payload(state: StateVector) -> list[dict]:
     """One entry per branch: its amplitude as [real, imag] and its own
-    record map, not a copy; ``report.render_json`` sorts the keys."""
+    record map, not a copy; the report renderer sorts the keys."""
     return [{"amplitude": [b.amplitude.real, b.amplitude.imag], "records": b.records}
             for b in state.branches]

@@ -54,15 +54,24 @@ class Parser(argparse.ArgumentParser):
 
 
 def _emit(payload: dict, out: str | None, text: str | None = None) -> int:
-    """The one output path.  The JSON is rendered first, so a refused value
-    prints nothing and leaves no file; then ``text`` is printed, or the JSON
-    when no text is given, and the JSON is written to ``out`` (relative to
-    LINQM_REPORT_DIR when that is set)."""
-    data = report.render_json(payload)
-    sys.stdout.write(data if text is None else text)
+    """The one output path.  With no ``text`` the JSON is rendered once,
+    written to ``out`` and printed; with a text, the JSON streams into
+    ``out`` piece by piece (or is only checked, with no ``out``) before the
+    text is printed.  So a refused value prints nothing, leaves no file and
+    leaves an existing ``out`` as it was.  ``out`` is relative to
+    LINQM_REPORT_DIR when that is set."""
+    if text is None:
+        text = report.render_json(payload)
+        pieces = [text]
+    else:
+        pieces = report.json_pieces(payload)
     if out:
         report.write_report(os.path.join(os.environ.get("LINQM_REPORT_DIR", ""), out),
-                            data)
+                            pieces)
+    else:
+        for _ in pieces:
+            pass
+    sys.stdout.write(text)
     return 0 if payload.get("pass", True) else 2
 
 

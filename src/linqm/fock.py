@@ -145,9 +145,11 @@ def _permutation_sum(product: LabeledKet, signed: bool) -> KetSum:
     if len(sets) > MAX_LABELS:
         raise ValueError(f"{len(sets)} factors exceed the cap of {MAX_LABELS} "
                          f"({len(sets)}! permutations)")
+    # the k^2 (label, set) factors, shared by all k! kets
+    pairs = [[(lbl, s) for s in sets] for lbl, _ in product.factors]
     acc: dict[LabeledKet, Scalar] = {}
     for perm in itertools.permutations(range(len(sets))):
-        ket = product.permute_sets({s: sets[p] for s, p in zip(sets, perm)})
+        ket = LabeledKet(tuple(row[p] for row, p in zip(pairs, perm)))
         acc[ket] = acc.get(ket, ZERO) + (-ONE if signed and _is_odd(perm) else ONE)
     return KetSum.build(acc, Fraction(1, factorial(len(sets))))
 

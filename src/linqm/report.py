@@ -9,10 +9,11 @@ zero (or within the stated tolerance for float-valued suites).
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .weyl import DiffOp
 
@@ -114,11 +115,43 @@ def render_json(payload: dict) -> str:
     a number).  Payloads are trees, never circular.
 
     With an indent, ``json`` falls back to its pure-Python encoder, which
-    holds every chunk of the text until one final join; here each container
-    is one join of its children's texts, so a ledger of a few megabytes
-    renders in about twice its size.
+    holds every chunk of the text until one final join; here the text is
+    the join of ``json_pieces``, each one join of its children's texts.
     """
-    return _json(payload, "\n") + "\n"
+    return "".join(json_pieces(payload))
+
+
+def json_pieces(payload: dict) -> Iterator[str]:
+    """The text ``render_json`` returns, in pieces: one for each member or
+    element of the payload and of each object or array directly inside it,
+    such as a ledger's branches, each rendered by ``_json`` with the
+    punctuation before it.  A report written piece by piece holds one
+    branch of a ledger at a time, not the ledger's text.  A refused value
+    raises when its piece is reached."""
+    yield from _pieces(payload, "\n", 2)
+    yield "\n"
+
+
+def _pieces(value, newline: str, depth: int) -> Iterator[str]:
+    """``_json(value, newline)``, split at the members of ``value`` and of
+    the containers fewer than ``depth`` levels below it."""
+    if not (depth and isinstance(value, (dict, list, tuple)) and value):
+        yield _json(value, newline)
+        return
+    inner = newline + "  "
+    if isinstance(value, dict):
+        # _quote raises TypeError on a key that is not a string
+        members = ((_quote(k) + ": ", v) for k, v in sorted(value.items()))
+        sep, close = "{" + inner, newline + "}"
+    else:
+        members = (("", v) for v in value)
+        sep, close = "[" + inner, newline + "]"
+    for prefix, v in members:
+        pieces = _pieces(v, inner, depth - 1)
+        yield sep + prefix + next(pieces)
+        yield from pieces
+        sep = "," + inner
+    yield close
 
 
 def _json(value, newline: str) -> str:
@@ -168,8 +201,19 @@ def render_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(path: str, text: str) -> None:
-    """Write a report that ``render_json`` has already rendered: rendering
-    first means a refused value leaves no file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def write_report(path: str, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` one at a time into a new file beside ``path``, which
+    replaces ``path`` only after the last piece: a value ``json_pieces``
+    refuses, or any other error, deletes that file and leaves ``path`` as
+    it was.  The report gets the mode that ``open(path, "w")`` gives a new
+    file, also where it replaces one."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

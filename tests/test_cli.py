@@ -500,6 +500,28 @@ def test_collapse_refused_value_prints_nothing_and_leaves_no_file(tmp_path, caps
     assert out == ""
     assert err.startswith("linqm: error: ")
     assert not out_file.exists()
+    out_file.write_text("an earlier report\n")
+    assert run_cli(COLLAPSE_SMALL + ["--out", str(out_file)], capsys)[:2] == (1, "")
+    assert out_file.read_text() == "an earlier report\n"
+    assert list(tmp_path.iterdir()) == [out_file]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_report_file_gets_the_mode_of_a_plain_open(umask, fmt, tmp_path, capsys):
+    """A report is written through a temporary file, yet gets the mode that
+    ``open(path, "w")`` gives a new file under the umask, not 0600."""
+    plain = tmp_path / "plain"
+    old = os.umask(umask)
+    try:
+        plain.open("w").close()
+        code, _, _ = run_cli(["verify", "lie", "--set", "su2", "--format", fmt,
+                              "--out", str(tmp_path / "rep.json")], capsys)
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert (tmp_path / "rep.json").stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "rep.json"]
 
 
 @pytest.mark.parametrize("matrix", [
@@ -669,43 +691,64 @@ def test_render_json_is_json_dumps(payload):
     assert report.render_json(payload) == _dumps(payload)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_PAYLOADS)
+def test_written_pieces_are_json_dumps(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("pieces") / "report.json"
+    report.write_report(str(path), report.json_pieces(payload))
+    assert path.read_text(encoding="utf-8") == _dumps(payload)
+
+
+def _refused_write(payload, tmp_path, error):
+    """``write_report`` of ``payload``'s pieces raises ``error`` (json's
+    exception, with its message) and leaves the directory empty."""
+    with pytest.raises(error.type, match=f"^{re.escape(str(error.value))}$"):
+        report.write_report(str(tmp_path / "report.json"), report.json_pieces(payload))
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("bad", [
     float("nan"), float("inf"), float("-inf"), np.float64("nan"),  # ValueError
     np.bool_(False), set(), object(), np.int64(1),  # TypeError
 ], ids=["nan", "inf", "-inf", "np-nan", "np-bool", "set", "object", "np-int64"])
-def test_render_json_refuses_what_json_dumps_refuses(bad):
+def test_render_json_refuses_what_json_dumps_refuses(bad, tmp_path):
     payload = {"relations": [], "value": [{"deep": bad}]}
     with pytest.raises((TypeError, ValueError)) as want:
         _dumps(payload)
     with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
         report.render_json(payload)
+    _refused_write(payload, tmp_path, want)
 
 
 @pytest.mark.parametrize("key", [1, 1.5, True, None, ("a",)])
-def test_render_json_refuses_keys_that_are_not_strings(key):
+def test_render_json_refuses_keys_that_are_not_strings(key, tmp_path):
     """json.dumps coerces number, bool and None keys to strings; a report's
     keys are always strings, so render_json refuses the rest instead."""
-    with pytest.raises(TypeError):
-        report.render_json({"ok": 0, "nested": {key: 0}})
+    payload = {"ok": 0, "nested": {key: 0}}
+    with pytest.raises(TypeError) as want:
+        report.render_json(payload)
+    _refused_write(payload, tmp_path, want)
 
 
-def test_ledger_renders_within_three_times_its_length():
-    """The 4,096-branch ledger's payload is built and rendered without
-    holding every chunk of its text at once, as json's pure-Python encoder
-    does (6.9 times its length), or a sorted copy of every branch's record
-    map (3.9 times, payload included)."""
+def test_ledger_is_written_within_its_length(tmp_path):
+    """The 4,096-branch ledger's payload is built and written a branch at a
+    time: its text is never held whole, as rendering it first would (2.8
+    times its length, payload included), nor every chunk of it, as json's
+    pure-Python encoder does (6.9 times)."""
     doc = _coin_flips(12)
     state, reports = branching.run_scenario("custom", dict(doc["params"], rules=doc["rules"]))
+    path = tmp_path / "ledger.json"
     tracemalloc.start()
     try:
         payload = report.reports_payload(reports, scenario="custom",
                                          branches=branching.ledger_payload(state))
-        text = report.render_json(payload)
+        report.write_report(str(path), report.json_pieces(payload))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    text = path.read_text(encoding="utf-8")
     assert len(payload["branches"]) == 4096 and text == _dumps(payload)
-    assert peak <= 3 * len(text)
+    assert peak < len(text)
 
 
 def _fresh_python(code, *args, cwd=None):

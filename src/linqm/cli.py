@@ -37,9 +37,10 @@ MAX_PAIRS = 50
 MAX_UNITARIES = 100
 
 # Site counts (--n) the verify commands accept.  At 256 sites the slowest
-# set of the commutator, hermiticity, invariance and translation-flow suites
-# takes about 2 s on a 2-vCPU machine; the spacetime suite grows about as
-# n^4 and takes 7-9 s at 12.  The size of an --eta file is its site count.
+# of the commutator, hermiticity, invariance and translation-flow suites
+# (``verify lie --set poincare``) takes about 0.8 s in a fresh process on a
+# 2-vCPU machine; the spacetime suite grows about as n^4 and takes 3.8-4.4 s
+# at 12.  The size of an --eta file is its site count.
 # The scaling search solves for 8n unknowns, in about 1.2 s at 32 sites and
 # 4.8 s at 64: its cost grows about as n^2.
 MAX_SITES = 256

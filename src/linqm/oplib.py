@@ -90,9 +90,10 @@ def _lift(matrix: Sequence[Sequence[ScalarLike]],
     """
     entries = [(j, k, c, -c.conjugate()) for j, row in enumerate(matrix)
                for k, c in enumerate(map(Scalar.of, row)) if not c.is_zero]
-    return DiffOp.sum(term for xs, ys in copies for j, k, c, c_bar in entries
-                      for term in (_mono(c, xs[j], ys[k]),
-                                   _mono(c_bar, xs[j].conj(), ys[k].conj())))
+    return DiffOp.from_terms(
+        term for xs, ys in copies for j, k, c, c_bar in entries
+        for term in ((c, [(xs[j], 1)], [(ys[k], 1)]),
+                     (c_bar, [(xs[j].conj(), 1)], [(ys[k].conj(), 1)])))
 
 
 def pauli_matrices() -> list[list[list[Scalar]]]:
@@ -176,11 +177,11 @@ def oscillator(n: int = 1) -> NamedOperatorSet:
         u1, v1, u2, v2 = uvar(1, i), vvar(1, i), uvar(2, i), vvar(2, i)
         for a, b in ((u1, v2), (v1, u2)):
             sign = ONE if a.family == "u" else -ONE
-            terms += [DiffOp.term(-sign, (), [(a, 1), (b, 1)]),
-                      DiffOp.term(-sign, (), [(a.conj(), 1), (b.conj(), 1)]),
-                      DiffOp.term(sign, [(a, 1), (b, 1)], ()),
-                      DiffOp.term(sign, [(a.conj(), 1), (b.conj(), 1)], ())]
-    return NamedOperatorSet("oscillator", {"O": DiffOp.sum(terms)}, sites=n)
+            terms += [(-sign, (), [(a, 1), (b, 1)]),
+                      (-sign, (), [(a.conj(), 1), (b.conj(), 1)]),
+                      (sign, [(a, 1), (b, 1)], ()),
+                      (sign, [(a.conj(), 1), (b.conj(), 1)], ())]
+    return NamedOperatorSet("oscillator", {"O": DiffOp.from_terms(terms)}, sites=n)
 
 
 def lorentz_generators(n: int = 1) -> NamedOperatorSet:
@@ -477,9 +478,9 @@ def build_spacetime_map(eta_raw: Sequence[Sequence[ScalarLike]],
         return Var(fam, slot, site, conj)
 
     def pair_sum(terms: list[tuple[ScalarLike, str, str]]) -> DiffOp:
-        return DiffOp.sum(
-            DiffOp.term(eta[j - 1][k - 1] * Scalar.of(coeff),
-                        [(var(fam2, 2, j), 1), (var(fam1, 1, k, True), 1)], ())
+        return DiffOp.from_terms(
+            (eta[j - 1][k - 1] * Scalar.of(coeff),
+             [(var(fam2, 2, j), 1), (var(fam1, 1, k, True), 1)], ())
             for j in range(1, n + 1) for k in range(1, n + 1)
             for coeff, fam2, fam1 in terms)
 
@@ -493,9 +494,9 @@ def build_spacetime_map(eta_raw: Sequence[Sequence[ScalarLike]],
     n1 = w1 + w1.conjugate()
     n2 = (w2 - w2.conjugate()).scale(I)
 
-    wz = DiffOp.sum(
-        DiffOp.term(sign * eta[j - 1][k - 1].conjugate(),
-                    [(Var(fj, 1, j), 1), (Var(fk, 1, k), 1)], ())
+    wz = DiffOp.from_terms(
+        (sign * eta[j - 1][k - 1].conjugate(),
+         [(Var(fj, 1, j), 1), (Var(fk, 1, k), 1)], ())
         for j in range(1, n + 1) for k in range(1, n + 1)
         for sign, fj, fk in ((1, "u", "v"), (-1, "v", "u")))
     z = (wz - wz.conjugate()).scale(-I)

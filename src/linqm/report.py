@@ -31,8 +31,18 @@ def clip(text: str, cap: int = _RENDER_CAP) -> str:
     if len(text) <= cap:
         return text
     tail = _CLIPPED_TAIL.fullmatch(text, _RENDER_CAP)
-    full = _RENDER_CAP + int(tail[1]) if tail else len(text)
-    return text[:cap] + f"... [{full - cap} more chars]"
+    return _marked(text[:cap], _RENDER_CAP + int(tail[1]) if tail else len(text), cap)
+
+
+def _marked(head: str, length: int, cap: int) -> str:
+    """``head``, the first ``cap`` characters of a text ``length`` long, and
+    a count of the rest."""
+    return head if length <= cap else head + f"... [{length - cap} more chars]"
+
+
+def clip_op(op: DiffOp) -> str:
+    """``clip(op.render())``, rendering only the terms the clip keeps."""
+    return _marked(*op.render_head(_RENDER_CAP), _RENDER_CAP)
 
 
 @dataclass(frozen=True)
@@ -69,21 +79,22 @@ def relation_report(suite: str, relation: str, expected: DiffOp, actual: DiffOp,
     """The record for the operator identity ``actual = expected``.
 
     The residual ``actual - expected`` is computed once and every operator
-    is rendered at most once; ``expected_text`` replaces the rendering of
+    is rendered at most once, by ``clip_op``, so the record holds the texts
+    a report file stores; ``expected_text`` replaces the rendering of
     ``expected`` where a symbolic form reads better.  When the residual is
     zero the two operators are equal, so ``expected`` takes the text of
     ``actual``: equal canonical operators render alike.
     """
     residual = actual - expected
-    actual_text = actual.render()
+    actual_text = clip_op(actual)
     if expected_text is None:
-        expected_text = actual_text if residual.is_zero else expected.render()
+        expected_text = actual_text if residual.is_zero else clip_op(expected)
     return RelationReport(
         suite=suite,
         relation=relation,
         expected=expected_text,
         actual=actual_text,
-        residual=residual.render(),
+        residual=clip_op(residual),
         passed=residual.is_zero,
     )
 

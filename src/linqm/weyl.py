@@ -35,6 +35,8 @@ derivatives, and pairs each left term only with the terms that share a
 variable it can contract with, so terms on different sites are never
 paired.  Partners are visited in the right operand's term order, so the
 result is dict-identical to the one the walk over every pair builds.
+``apply`` indexes the polynomial's terms by multiplication ids the same
+way, and ``render_head`` orders only the terms a clipped text shows.
 
 Text form (documented in docs/operator-text-format.md): a sum of terms
 ``(coeff)*var^k*...*d[var]^m*...`` where a variable prints as its family
@@ -262,6 +264,24 @@ class DiffOp:
         return _make(c.den, {(_ids(mults), _ids(derivs)): (c.num_re, c.num_im)})
 
     @staticmethod
+    def from_terms(terms: Iterable[tuple[ScalarLike, Iterable[tuple[Var, int]],
+                                         Iterable[tuple[Var, int]]]]) -> "DiffOp":
+        """The sum of the (coeff, mults, derivs) terms, built in one pass:
+        dict-identical to ``DiffOp.sum`` of their ``DiffOp.term``s."""
+        rows = []
+        for coeff, mults, derivs in terms:
+            c = Scalar.of(coeff)
+            key = (_ids(mults), _ids(derivs))
+            if c.num_re or c.num_im:  # a zero term adds no key, as in ``sum``
+                rows.append((key, c))
+        den = lcm(*(c.den for _, c in rows))
+        acc: Numerators = {}
+        for key, c in rows:
+            f = den // c.den
+            _add_to(acc, key, f * c.num_re, f * c.num_im)
+        return _make(den, acc)
+
+    @staticmethod
     def sum(ops: Iterable["DiffOp"]) -> "DiffOp":
         ops = list(ops)
         den = lcm(*(op._den for op in ops))
@@ -321,10 +341,10 @@ class DiffOp:
     __radd__ = __add__
 
     def __sub__(self, other: OpLike) -> "DiffOp":
-        return self + (-_as_op(other))
+        return _difference(self, _as_op(other))
 
     def __rsub__(self, other: OpLike) -> "DiffOp":
-        return _as_op(other) + (-self)
+        return _difference(_as_op(other), self)
 
     def __neg__(self) -> "DiffOp":
         return _make(self._den, {k: (-re, -im) for k, (re, im) in self._num.items()})
@@ -407,12 +427,25 @@ class DiffOp:
 
         Linear in the polynomial and consistent with composition:
         (a*b).apply(f) == a.apply(b.apply(f)).
+
+        A pair whose operator term differentiates a variable the polynomial
+        term lacks adds nothing.  So ``poly``'s terms are indexed by the
+        variable ids of their multiplications, and each term of ``self``
+        walks only the terms that carry its first derivative variable (all
+        of them when it has no derivative), in ``poly``'s term order.  The
+        pairs that contribute arrive in the order of the full pair walk, and
+        the result is dict-identical to it.
         """
         if not poly.is_polynomial:
             raise NotAPolynomial("apply target must be derivative-free")
+        items = [(mf, c) for (mf, _), c in poly._num.items()]
+        by_mult: dict[int, list] = {}
+        for item in items:
+            for i, _ in item[0]:
+                by_mult.setdefault(i, []).append(item)
         acc: Numerators = {}
         for (m1, d1), (a1, b1) in self._num.items():
-            for (mf, _), (af, bf) in poly._num.items():
+            for mf, (af, bf) in by_mult.get(d1[0][0], ()) if d1 else items:
                 powers = dict(mf)
                 f = 1
                 for i, order in d1:
@@ -474,11 +507,38 @@ class DiffOp:
     def render(self) -> str:
         """The text form, built from the integer form: terms sorted as in
         ``terms``, each coefficient formatted by ``format_gaussian``."""
+        return self.render_head()[0]
+
+    def render_head(self, cap: int | None = None) -> tuple[str, int]:
+        """The first ``cap`` characters of ``render()`` (all of it with no
+        cap) and the length of the whole text.
+
+        Every term's text is built to count the length, but only the terms
+        that reach into the first ``cap`` characters are put in order and
+        joined: they come off a heap of the canonical sort keys, which are
+        distinct, so they come off in ``terms`` order.
+        """
         if not self._num:
-            return "0"
+            return "0"[:cap], 1
         den = self._den
-        return " + ".join(f"({format_gaussian(re, im, den)}){m[2]}{d[3]}"
-                          for m, d, (re, im) in self._halves())
+        rows = []
+        length = -3  # no " + " before the first term
+        for (m, d), (re, im) in self._num.items():
+            hm, hd = _half(m), _half(d)
+            text = f"({format_gaussian(re, im, den)}){hm[2]}{hd[3]}"
+            length += len(text) + 3
+            rows.append((hm[0], hd[0], text))
+        if cap is None or cap >= length:
+            rows.sort()
+            return " + ".join([row[2] for row in rows]), length
+        import heapq  # deferred: its C module adds about 0.1 MB of RSS
+        heapq.heapify(rows)
+        head = [heapq.heappop(rows)[2]]
+        built = len(head[0])
+        while built < cap:
+            head.append(heapq.heappop(rows)[2])
+            built += len(head[-1]) + 3
+        return " + ".join(head)[:cap], length
 
     def __str__(self) -> str:
         return self.render()
@@ -491,6 +551,18 @@ def _as_op(x: OpLike) -> DiffOp:
     if isinstance(x, DiffOp):
         return x
     return DiffOp.constant(x)
+
+
+def _difference(a: DiffOp, b: DiffOp) -> DiffOp:
+    """``a + (-b)`` in one pass, without the negated copy of ``b``: the same
+    keys in the same insertion order."""
+    den = lcm(a._den, b._den)
+    fa, fb = den // a._den, den // b._den
+    acc: Numerators = {k: (fa * re, fa * im) for k, (re, im) in a._num.items()}
+    for key, (re, im) in b._num.items():
+        r, i = acc.get(key, (0, 0))
+        acc[key] = (r - fb * re, i - fb * im)
+    return _make(den, acc)
 
 
 @functools.lru_cache(maxsize=COMPOSE_CACHE_SIZE)
@@ -574,7 +646,7 @@ class LinearSub:
 
     def __init__(self, images: Mapping[Var, Iterable[tuple[ScalarLike, Var]]]):
         self.images: dict[Var, DiffOp] = {
-            var: DiffOp.sum(DiffOp.term(c, [(t, 1)]) for c, t in combo)
+            var: DiffOp.from_terms((c, [(t, 1)], ()) for c, t in combo)
             for var, combo in images.items()}
         for var in list(self.images):  # a real variable is its own conjugate
             if var.conj() not in self.images:
@@ -607,9 +679,8 @@ class LinearSub:
         deriv_images: dict[Var, DiffOp] = {}
         for v in basis:
             i = index[v]
-            deriv_images[v] = DiffOp.sum(
-                DiffOp.derivative(basis[k]).scale(inv[k][i])
-                for k in range(len(basis)) if not inv[k][i].is_zero)
+            deriv_images[v] = DiffOp.from_terms(
+                (inv[k][i], (), [(basis[k], 1)]) for k in range(len(basis)))
         return self._apply_with(op, deriv_images)
 
     def _apply_with(self, op: DiffOp, deriv_images: dict[Var, DiffOp]) -> DiffOp:

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linqm import linalg, oplib, weyl
+from linqm import linalg, oplib, report, weyl
 from linqm.scalar import I, Scalar
 from linqm.weyl import DiffOp, ExponentOverflow, LinearSub, Var
 
@@ -152,6 +152,95 @@ def test_operators_on_disjoint_sites_commute_without_composing(a):
     assert b.commutator(a).is_zero
     after = weyl._compose.cache_info()
     assert after.hits + after.misses == before.hits + before.misses
+
+
+def _reference_apply(op: DiffOp, poly: DiffOp) -> DiffOp:
+    """The action that walked every (operator term, polynomial term) pair,
+    kept as the oracle for the indexed action and for the insertion order of
+    its terms."""
+    acc = {}
+    for (m1, d1), (a1, b1) in op._num.items():
+        for (mf, _), (af, bf) in poly._num.items():
+            powers = dict(mf)
+            f = 1
+            for i, order in d1:
+                p = powers.get(i, 0)
+                if p < order:
+                    break
+                f *= weyl._falling(p, order)
+                powers[i] = p - order
+            else:
+                weyl._add_to(acc, (weyl._merge(m1, weyl._powers(powers)), ()),
+                             f * (a1 * af - b1 * bf), f * (a1 * bf + b1 * af))
+    return weyl._make(op._den * poly._den, acc)
+
+
+@st.composite
+def site_polynomials(draw):
+    """Sums of up to 12 single-site terms in powers up to 3, constants
+    included, so derivatives of order 2 and 3 find terms to act on."""
+    terms = []
+    for _ in range(draw(st.integers(1, 12))):
+        pool = st.sampled_from(_site_pool(draw(st.integers(1, 6))))
+        mults = draw(st.lists(st.tuples(pool, st.integers(1, 3)), max_size=2))
+        terms.append(DiffOp.term(draw(scalars), mults))
+    return DiffOp.sum(terms)
+
+
+@st.composite
+def high_order_site_operators(draw):
+    """One operator with derivative orders up to 3, summed over sites 1-k."""
+    op = DiffOp.sum(DiffOp.term(draw(scalars), draw(powers),
+                                draw(st.lists(st.tuples(variables, st.integers(1, 3)),
+                                              min_size=1, max_size=2)))
+                    for _ in range(draw(st.integers(1, 3))))
+    return DiffOp.sum(op.map_sites({1: s}) for s in range(1, draw(st.integers(1, 6)) + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(any_operators, high_order_site_operators()),
+       st.one_of(polynomials(), site_polynomials()))
+def test_apply_is_dict_identical_to_the_full_pair_walk(op, poly):
+    got, want = op.apply(poly), _reference_apply(op, poly)
+    assert list(got._num.items()) == list(want._num.items())
+    assert got._den == want._den
+
+
+# ----------------------------------------------------------------------
+# one-pass builders: the difference and the sum of single terms
+# ----------------------------------------------------------------------
+small_ints = st.integers(-2, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_operators, any_operators, st.builds(Fraction, small_ints, st.integers(1, 3)))
+def test_difference_is_dict_identical_to_adding_the_negation(a, b, c):
+    for got, want in ((a - b, a + (-b)), (b - a, b + (-a)), (a - a, a + (-a)),
+                      (a - c, a + (-DiffOp.constant(c))),
+                      (c - a, DiffOp.constant(c) + (-a)),
+                      (a.__rsub__(b), b + (-a))):
+        assert list(got._num.items()) == list(want._num.items())
+        assert got._den == want._den
+
+
+# Six keys and coefficients that are often zero or cancel, so keys repeat
+# and a zero term or a cancelled sum comes before a later term of the same
+# key.  A power of 0 drops its variable from the key.
+term_specs = st.lists(
+    st.tuples(st.one_of(st.just(0), st.builds(Fraction, small_ints, st.integers(1, 4)),
+                        st.builds(Scalar, small_ints, small_ints)),
+              st.lists(st.tuples(st.sampled_from([U, V]), st.integers(0, 1)), max_size=1),
+              st.lists(st.tuples(st.just(X), st.just(1)), max_size=1)),
+    max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_specs)
+def test_from_terms_is_dict_identical_to_the_sum_of_terms(spec):
+    got = DiffOp.from_terms(spec)
+    want = DiffOp.sum(DiffOp.term(c, m, d) for c, m, d in spec)
+    assert list(got._num.items()) == list(want._num.items())
+    assert got._den == want._den
 
 
 unit_lower = st.builds(
@@ -341,12 +430,80 @@ render_coeffs = st.one_of(
 ).filter(lambda s: not s.is_zero)
 
 
+# Sums long enough to pass the 800-character clip: up to 40 terms, each up
+# to about 90 characters.
+long_specs = st.lists(st.tuples(render_coeffs, render_powers, render_powers), max_size=40)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(render_coeffs, render_powers, render_powers), max_size=5))
-def test_render_matches_reference_renderer(spec):
+@given(st.one_of(st.lists(st.tuples(render_coeffs, render_powers, render_powers),
+                          max_size=5), long_specs),
+       st.integers(0, 2400))
+def test_render_matches_reference_renderer(spec, cap):
     op = DiffOp.sum(DiffOp.term(c, m, d) for c, m, d in spec)
-    assert op.render() == _reference_render(op)
+    text = _reference_render(op)
+    assert op.render() == text
     assert str(op) == op.render()
+    assert op.render_head(cap) == (text[:cap], len(text))
+    assert report.clip_op(op) == report.clip(text)
+    # caps at and around each term's end, where the head stops taking terms
+    end = -3
+    for part in text.split(" + "):
+        end += len(part) + 3
+        for c in range(max(end - 2, 0), end + 4):
+            assert op.render_head(c) == (text[:c], len(text))
+
+
+def _rendering_at(length: int) -> DiffOp:
+    """An operator whose text is ``length`` characters long: a coefficient
+    of many digits on w, then (1)*x[s] on sites 2-9 (11 characters each,
+    with the separator)."""
+    digits = length - len("()*w") - 8 * len(" + (1)*x[2]")
+    op = DiffOp.term(10 ** (digits - 1), [(Var("w"), 1)])
+    return op + DiffOp.from_terms((1, [(Var("x", site=s, real=True), 1)], ())
+                                  for s in range(2, 10))
+
+
+@pytest.mark.parametrize("length", [799, 800, 801])
+def test_clip_op_at_the_cap(length):
+    op = _rendering_at(length)
+    text = _reference_render(op)
+    assert len(text) == length
+    assert report.clip_op(op) == report.clip(text)
+    assert report.clip_op(op).endswith("... [1 more chars]") == (length == 801)
+
+
+def test_clip_op_far_past_the_cap_and_on_zero():
+    op = DiffOp.from_terms((Scalar(Fraction(s, p), Fraction(-p, 7)),
+                            [(Var("x", site=s, real=True), p)], ())
+                           for s in range(1, 60) for p in range(1, 30))
+    text = _reference_render(op)
+    assert len(text) > 30_000
+    assert report.clip_op(op) == report.clip(text)
+    assert report.clip_op(DiffOp.zero()) == report.clip(_reference_render(DiffOp.zero())) == "0"
+    assert DiffOp.zero().render_head(800) == ("0", 1)
+
+
+def _full_render_report(expected: DiffOp, actual: DiffOp, text) -> report.RelationReport:
+    """The record as ``relation_report`` built it from whole texts."""
+    residual = actual - expected
+    if text is None:
+        text = actual.render() if residual.is_zero else expected.render()
+    return report.RelationReport("s", "r", text, actual.render(), residual.render(),
+                                 residual.is_zero)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(DiffOp.from_terms, long_specs), st.builds(DiffOp.from_terms, long_specs),
+       st.sampled_from([None, "(c)*Z^2"]))
+def test_relation_report_rows_equal_rows_from_the_full_render(a, b, text):
+    for expected, actual in ((a, b), (b, b)):
+        rec = report.relation_report("s", "r", expected, actual, expected_text=text)
+        full = _full_render_report(expected, actual, text)
+        assert rec.to_json_obj() == full.to_json_obj()
+        assert rec == report.RelationReport(
+            "s", "r", *map(report.clip, (full.expected, full.actual, full.residual)),
+            full.passed)
 
 
 # ----------------------------------------------------------------------

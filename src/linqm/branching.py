@@ -136,7 +136,7 @@ def apply_rule(state: StateVector, rule: Rule) -> StateVector:
     subsystems = state.subsystems()
     out: list[Branch] = []
     for branch in state.branches:
-        view = MappingProxyType(dict(branch.records))
+        view = MappingProxyType(branch.records)
         if not rule.guard(view):
             out.append(branch)
             continue
@@ -146,7 +146,7 @@ def apply_rule(state: StateVector, rule: Rule) -> StateVector:
             raise NonUnitaryRule(
                 f"rule {rule.name!r} split norm is {weight_norm!r}")
         for weight, rewrite in children:
-            stray = set(rewrite) - set(subsystems)
+            stray = rewrite.keys() - subsystems
             if stray:
                 raise BadParams(f"rule {rule.name!r} writes unknown subsystems {stray}")
             records = {**branch.records, **rewrite}

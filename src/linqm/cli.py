@@ -20,9 +20,9 @@ from fractions import Fraction
 from . import linalg, oplib, report, reps
 from .scalar import Scalar
 
-# collapse and fock load numpy (collapse loads scipy.special only past
-# chi2.MAX_DOF degrees of freedom); each simulator command imports its
-# module, so the exact commands and ``sim branch`` start without either.
+# collapse and fock load numpy, and no command loads scipy; each simulator
+# command imports its module, so the exact commands and ``sim branch``
+# start without numpy.
 # ``collapse run --scheme`` choices, in the order of collapse.SCHEMES:
 SCHEMES = ("linear_drift", "linear_noise", "nonlinear_ruin")
 

@@ -33,7 +33,7 @@ import numpy as np
 
 # scipy.special's chi-square tail, in plain Python: importing scipy.special
 # would cost more start-up time and memory than the rest of a collapse run's
-# imports.  It loads scipy only past chi2.MAX_DOF degrees of freedom.
+# imports, so no collapse run loads scipy.
 from .chi2 import chdtrc
 
 ABSORPTION_EPS = 1e-6

@@ -86,20 +86,6 @@ class KetSum:
     def scale(self, c: Scalar) -> "KetSum":
         return KetSum.build({k: a * c for k, a in self.terms}, self.norm2)
 
-    def __add__(self, other: "KetSum") -> "KetSum":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        ratio = other.norm2 / self.norm2
-        root = rational_sqrt(ratio)
-        if root is None:
-            raise ValueError("cannot add sums with incommensurable prefactors")
-        acc: dict[LabeledKet, Scalar] = dict(self.terms)
-        for k, a in other.terms:
-            acc[k] = acc.get(k, ZERO) + a * root
-        return KetSum.build(acc, self.norm2)
-
     def __neg__(self) -> "KetSum":
         return self.scale(-ONE)
 

@@ -77,35 +77,50 @@ class Scalar:
         return Fraction(self.num_im, self.den)
 
     # ------------------------------------------------------------------
-    # arithmetic
+    # arithmetic: NotImplemented for an operand Scalar.of refuses (a DiffOp)
     # ------------------------------------------------------------------
     def __add__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
+        try:
+            o = Scalar.of(other)
+        except TypeError:
+            return NotImplemented
         return gaussian(self.num_re * o.den + o.num_re * self.den,
                         self.num_im * o.den + o.num_im * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
+        try:
+            o = Scalar.of(other)
+        except TypeError:
+            return NotImplemented
         return gaussian(self.num_re * o.den - o.num_re * self.den,
                         self.num_im * o.den - o.num_im * self.den, self.den * o.den)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
-        return Scalar.of(other) - self
+        try:
+            return Scalar.of(other) - self
+        except TypeError:
+            return NotImplemented
 
     def __neg__(self) -> "Scalar":
         return gaussian(-self.num_re, -self.num_im, self.den)
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
+        try:
+            o = Scalar.of(other)
+        except TypeError:
+            return NotImplemented
         a, b, c, d = self.num_re, self.num_im, o.num_re, o.num_im
         return gaussian(a * c - b * d, a * d + b * c, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
+        try:
+            o = Scalar.of(other)
+        except TypeError:
+            return NotImplemented
         a, b, c, d = self.num_re, self.num_im, o.num_re, o.num_im
         n2 = c * c + d * d
         if n2 == 0:
@@ -113,7 +128,10 @@ class Scalar:
         return gaussian((a * c + b * d) * o.den, (b * c - a * d) * o.den, self.den * n2)
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
-        return Scalar.of(other) / self
+        try:
+            return Scalar.of(other) / self
+        except TypeError:
+            return NotImplemented
 
     def conjugate(self) -> "Scalar":
         return gaussian(self.num_re, -self.num_im, self.den)

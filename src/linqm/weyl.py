@@ -368,10 +368,7 @@ class DiffOp:
                     acc[key] = (r + f * re, i + f * im)
         return _make(self._den * other._den, acc)
 
-    def __rmul__(self, other: OpLike) -> "DiffOp":
-        if isinstance(other, DiffOp):
-            return other.__mul__(self)
-        return self.scale(other)
+    __rmul__ = scale
 
     def __truediv__(self, c: ScalarLike) -> "DiffOp":
         return self.scale(ONE / c)
@@ -568,15 +565,16 @@ def _difference(a: DiffOp, b: DiffOp) -> DiffOp:
 @functools.lru_cache(maxsize=COMPOSE_CACHE_SIZE)
 def _half(powers: Powers) -> tuple[tuple, Mults, str, str]:
     """One half of a term key as it leaves the id form: its sort key, its
-    ``Var`` factors ordered by ``Var.key``, and its text as multiplications
-    and as derivatives, each factor led by ``*``.
+    ``Var`` factors ordered by ``Var.key`` (which is one-to-one), and its text
+    as multiplications and as derivatives, each factor led by ``*``.
 
     Memoized: ids are never reassigned, so the same powers always name the
     same variables.
     """
-    factors = tuple(sorted(((_VARS[i], p) for i, p in powers), key=lambda vp: vp[0].key))
+    keyed = sorted([(_VARS[i].key, p, i) for i, p in powers])
+    factors = tuple((_VARS[i], p) for _, p, i in keyed)
     labels = [(v.label(), f"^{p}" if p > 1 else "") for v, p in factors]
-    return (tuple((v.key, p) for v, p in factors), factors,
+    return (tuple((key, p) for key, p, _ in keyed), factors,
             "".join(f"*{label}{power}" for label, power in labels),
             "".join(f"*d[{label}]{power}" for label, power in labels))
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import mpmath
+
 from linqm.scalar import Scalar
 from linqm.weyl import DiffOp, Var
 
@@ -26,3 +28,15 @@ def agree_on_monomials(a: DiffOp, b: DiffOp, variables: list[Var],
     """Brute-force oracle: two operators agree iff they map every small
     monomial to the same polynomial."""
     return all(a.apply(m) == b.apply(m) for m in monomials_upto(variables, degree))
+
+
+# Relative bound on the chi-square tail inside Temme's band, where the
+# oracle is mpmath rather than scipy's bits; scipy meets it too.
+CHI2_BAND_RTOL = 1e-13
+
+
+def mpmath_chi2_tail(dof: int, x: float):
+    """P(chi2_dof > x) as Q(dof/2, x/2) in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        return mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2,
+                               regularized=True)

@@ -52,6 +52,24 @@ def test_rule_cannot_invent_subsystems():
         branching.apply_rule(state, rule)
 
 
+def test_rule_cannot_write_into_its_record_map():
+    """Guards and effects see each branch's records read-only: assigning
+    into them raises TypeError and leaves the ledger as it was."""
+    def assign(rec):
+        rec["a"] = "y"
+        return True
+
+    rules = [branching.Rule("guard-writes", guard=assign,
+                            effect=branching.static_effect([(1.0, {})])),
+             branching.Rule("effect-writes", guard=lambda rec: True,
+                            effect=lambda rec: assign(rec) and [(1.0, {})])]
+    for rule in rules:
+        state = branching.StateVector([branching.Branch(1.0, {"a": "x"})])
+        with pytest.raises(TypeError):
+            branching.apply_rule(state, rule)
+        assert state.branches == [branching.Branch(1.0, {"a": "x"})]
+
+
 def test_isolation_rule_distributes_over_concatenation():
     b1 = branching.Branch(0.6, {"a": "x", "b": ""})
     b2 = branching.Branch(0.8j, {"a": "y", "b": ""})

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CHI2_BAND_RTOL, mpmath_chi2_tail
 from linqm import branching, cli, report
 from linqm.weyl import DiffOp, Var
 
@@ -763,8 +764,8 @@ def _fresh_python(code, *args, cwd=None):
 def test_cli_import_does_not_load_scipy_stats():
     """scipy.stats would take most of each command's start-up time, and
     scipy.sparse is not needed: ladder operators are signed permutations.
-    numpy loads only when a simulator command runs, and scipy only for a
-    collapse verdict past ``chi2.MAX_DOF`` degrees of freedom."""
+    numpy loads only when a simulator command runs, and no command loads
+    scipy: the collapse verdict's chi-square tail is ``linqm.chi2``."""
     probe = ("import sys, linqm.cli; print(*(m in sys.modules for m in "
              "('scipy.stats', 'scipy.sparse', 'numpy', 'scipy')))")
     assert _fresh_python(probe).stdout.split() == ["False"] * 4
@@ -793,14 +794,17 @@ def test_collapse_run_loads_no_scipy_up_to_forty_degrees_of_freedom():
     assert loaded == []
 
 
-def test_collapse_run_past_forty_degrees_of_freedom_takes_scipys_tail():
-    """At 42 outcomes (dof 41) the tail is scipy.special.chdtrc's, imported
-    then and only then."""
-    from scipy.special import chdtrc
-    [[code, report]], loaded = json.loads(_fresh_python(_COLLAPSE_PROBE, "[42]").stdout)
-    assert code == 0 and report["chi2"] is not None
-    assert "scipy.special" in loaded
-    assert report["p_value"] == float(chdtrc(41, report["chi2"]))
+def test_collapse_run_past_forty_degrees_of_freedom_loads_no_scipy():
+    """Past dof 40, up to the 128-outcome cap, the tail is still the port's.
+    Runs of equal outcomes land in Temme's band, where Cephes takes an
+    expansion the port leaves out, so the oracle is mpmath at 50 digits."""
+    reports, loaded = json.loads(_fresh_python(_COLLAPSE_PROBE, "[42, 128]").stdout)
+    assert [code for code, _ in reports] == [0, 0]
+    assert all(r["chi2"] is not None for _, r in reports)
+    assert loaded == []
+    for _, payload in reports:
+        exact = mpmath_chi2_tail(len(payload["frequencies"]) - 1, payload["chi2"])
+        assert abs(payload["p_value"] - exact) <= CHI2_BAND_RTOL * exact
 
 
 def test_exact_commands_never_load_numpy(tmp_path):

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -100,6 +101,15 @@ def test_scalar_takes_only_exact_rationals(bad):
         Scalar(bad)
     with pytest.raises(TypeError):
         Scalar(1, bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1j, None])
+def test_scalar_arithmetic_refuses_inexact_operands(bad):
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(ONE, bad)
+        with pytest.raises(TypeError):
+            op(bad, ONE)
 
 
 def test_rational_sqrt():

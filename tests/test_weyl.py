@@ -45,6 +45,15 @@ def test_zero_annihilates():
     assert (a * DiffOp.zero()).is_zero
 
 
+def test_scalar_operands_defer_to_diffop():
+    """Scalar arithmetic gives a DiffOp operand NotImplemented, so Python
+    reaches DiffOp's reflected methods."""
+    op = u * du + dv
+    assert I * op == op.scale(I)
+    assert Scalar(1) + op == op + 1
+    assert Scalar(1) - op == 1 - op
+
+
 def test_higher_order_reordering():
     # d^2 u = u d^2 + 2 d, d u^2 = u^2 d + 2 u
     assert du * du * u == u * du * du + 2 * du
